@@ -63,8 +63,8 @@ int main() {
                                  sanitize_rng, &stats);
   std::printf(
       "\nAnswer sanitation with theta0 = %.0f%% of the space:\n"
-      "  LSP ran %llu hypothesis tests using %llu Monte-Carlo samples\n"
-      "  (N_H per test = %llu; early exit saves most of them)\n"
+      "  LSP ran %llu hypothesis tests on %llu shared Monte-Carlo samples\n"
+      "  (N_H per test = %llu; early exit and sharing save most of them)\n"
       "  -> returns the top-%zu prefix instead of the full top-%d.\n",
       theta0 * 100, static_cast<unsigned long long>(stats.tests_run),
       static_cast<unsigned long long>(stats.samples_drawn),

@@ -68,6 +68,10 @@ double Rng::NextDouble() {
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
+void Rng::FillDoubles(double* out, size_t count) {
+  for (size_t i = 0; i < count; ++i) out[i] = NextDouble();
+}
+
 double Rng::NextGaussian() {
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;

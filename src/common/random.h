@@ -40,6 +40,9 @@ class Rng {
   /// Uniform double in [0, 1).
   double NextDouble();
 
+  /// Writes the next `count` NextDouble() values to `out`, in order.
+  void FillDoubles(double* out, size_t count);
+
   /// Standard normal variate (Box-Muller).
   double NextGaussian();
 

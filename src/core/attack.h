@@ -7,9 +7,10 @@
 // target's real location must lie in. Privacy IV holds iff that region is
 // larger than a theta0 fraction of the data space for every target.
 //
-// This class serves two roles: the *attacker* (examples / experiments
-// measuring how small the region gets) and the *defender* (LSP's answer
-// sanitation, which Monte-Carlo-tests the region size). Per-POI aggregate
+// This class is the *attacker* (examples / experiments measuring how small
+// the region gets, and the tests that check the defender against it). LSP's
+// answer sanitation (core/sanitize) evaluates the same inequalities for all
+// targets at once on a shared sample stream. Per-POI aggregate
 // contributions of the colluders are precomputed, so each membership test
 // costs only |answer| distance evaluations regardless of n.
 
@@ -45,8 +46,7 @@ class InequalityAttack {
   /// Monte-Carlo estimate of the solution region's fraction of the space.
   double EstimateRegionFraction(Rng& rng, uint64_t samples) const;
 
-  /// Uniform sample from the space (exposed so the sanitizer can share
-  /// sampling with its sequential test).
+  /// Uniform sample from the space.
   Point SamplePoint(Rng& rng) const;
 
   size_t NumInequalities() const {

@@ -35,6 +35,19 @@ bool RejectsH0(uint64_t successes, uint64_t n_samples, double theta0,
          RejectionThreshold(n_samples, theta0, gamma);
 }
 
+SequentialVerdictCounts SequentialVerdictThresholds(uint64_t n_samples,
+                                                    double theta0,
+                                                    double gamma) {
+  double threshold = RejectionThreshold(n_samples, theta0, gamma);
+  uint64_t reject_hits = 0;
+  if (threshold >= static_cast<double>(n_samples)) {
+    reject_hits = n_samples + 1;
+  } else if (threshold >= 0.0) {
+    reject_hits = static_cast<uint64_t>(std::floor(threshold)) + 1;
+  }
+  return {reject_hits, n_samples + 1 - reject_hits};
+}
+
 SequentialProportionTest::SequentialProportionTest(uint64_t n_samples,
                                                    double theta0, double gamma)
     : n_samples_(n_samples),

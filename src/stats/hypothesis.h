@@ -43,10 +43,25 @@ double RejectionThreshold(uint64_t n_samples, double theta0, double gamma);
 bool RejectsH0(uint64_t successes, uint64_t n_samples, double theta0,
                double gamma);
 
+/// SequentialProportionTest's verdict as two integer counts, for hot loops
+/// that keep only (hits, misses) per test: the test rejects H0 once
+/// hits >= reject_hits and does not reject once misses >= accept_misses,
+/// checked in that order. reject_hits is the least integer above Eqn 16's
+/// threshold (0 when the threshold is negative, n_samples + 1 when it is
+/// out of reach), and accept_misses = n_samples + 1 - reject_hits.
+struct SequentialVerdictCounts {
+  uint64_t reject_hits;
+  uint64_t accept_misses;
+};
+SequentialVerdictCounts SequentialVerdictThresholds(uint64_t n_samples,
+                                                    double theta0,
+                                                    double gamma);
+
 /// Incremental tester with early exit: feed Bernoulli outcomes one at a
 /// time; Verdict() becomes definite as soon as the final decision cannot
 /// change (threshold already crossed, or unreachable with the remaining
-/// samples). The decision is identical to running all N_H samples.
+/// samples). The decision is identical to running all N_H samples. It is
+/// the reference that SequentialVerdictThresholds is tested against.
 class SequentialProportionTest {
  public:
   SequentialProportionTest(uint64_t n_samples, double theta0, double gamma);

@@ -146,23 +146,27 @@ TEST(SanitizerTest, StatsAreAccumulated) {
   if (sanitized.size() > 1 || answer.size() > 1) {
     EXPECT_GT(stats.tests_run, 0u);
     EXPECT_GT(stats.samples_drawn, 0u);
+    // Every drawn point feeds at least one test, and at most all n.
+    EXPECT_GE(stats.test_samples, stats.samples_drawn);
+    EXPECT_LE(stats.test_samples, stats.samples_drawn * group.size());
   }
 }
 
-TEST(SanitizerTest, PrefixSafeForTargetAgreesWithZTest) {
-  // A wide-open two-POI configuration (bisector region ~ half the space)
-  // must be judged safe for theta0 = 0.05; an extremely tight
-  // configuration must be judged unsafe for theta0 = 0.9.
+TEST(SanitizerTest, HalfPlanePrefixAgreesWithZTest) {
+  // Each user is equidistant from the two POIs, so for either target the
+  // solution region is the half-plane x <= 0.5 (half the space): judged
+  // safe for theta0 = 0.05 and unsafe for theta0 = 0.9.
   TestConfig config;
+  std::vector<Point> group = {{0.5, 0.8}, {0.5, 0.2}};
+  std::vector<RankedPoi> answer = {{{0, {0.25, 0.5}}, 0.0},
+                                   {{1, {0.75, 0.5}}, 0.0}};
   auto loose = AnswerSanitizer::Create(0.05, config).value();
   Rng rng(7);
-  std::vector<Point> colluders = {{0.5, 0.2}};
-  std::vector<Point> halfspace = {{0.25, 0.5}, {0.75, 0.5}};
-  EXPECT_TRUE(loose.PrefixSafeForTarget(colluders, halfspace,
-                                        AggregateKind::kSum, rng));
+  EXPECT_EQ(loose.Sanitize(answer, group, AggregateKind::kSum, rng).size(),
+            2u);
   auto strict = AnswerSanitizer::Create(0.9, config).value();
-  EXPECT_FALSE(strict.PrefixSafeForTarget(colluders, halfspace,
-                                          AggregateKind::kSum, rng));
+  EXPECT_EQ(strict.Sanitize(answer, group, AggregateKind::kSum, rng).size(),
+            1u);
 }
 
 TEST(SanitizerTest, EarlyExitUsesFarFewerSamplesThanNH) {
@@ -176,7 +180,7 @@ TEST(SanitizerTest, EarlyExitUsesFarFewerSamplesThanNH) {
   SanitizeStats stats;
   sanitizer.Sanitize(answer, group, AggregateKind::kSum, rng, &stats);
   ASSERT_GT(stats.tests_run, 0u);
-  EXPECT_LT(stats.samples_drawn / stats.tests_run,
+  EXPECT_LT(stats.test_samples / stats.tests_run,
             sanitizer.sample_size() / 2);
 }
 
