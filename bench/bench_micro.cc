@@ -6,6 +6,10 @@
 
 #include <benchmark/benchmark.h>
 
+#ifdef PPGNN_BENCH_HAVE_GMP
+#include <gmp.h>
+#endif
+
 #include <map>
 #include <memory>
 
@@ -52,6 +56,75 @@ void BM_ModExp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModExp)->Arg(512)->Arg(1024)->Arg(2048);
+
+#ifdef PPGNN_BENCH_HAVE_GMP
+// The roofline for BM_ModExp: GMP's mpz_powm on the same inputs (same
+// seed, same draws). GMP is linked into this bench only; the library
+// never links it.
+void BM_ModExpGmp(benchmark::State& state) {
+  Rng rng(3);
+  const int bits = static_cast<int>(state.range(0));
+  BigInt base = BigInt::Random(bits, rng);
+  BigInt exp = BigInt::Random(bits, rng);
+  BigInt mod = BigInt::Random(bits, rng) + BigInt(3);
+  if (!mod.IsOdd()) mod = mod + BigInt(1);
+  mpz_t gb, ge, gm, out;
+  mpz_inits(gb, ge, gm, out, nullptr);
+  mpz_set_str(gb, base.ToHex().c_str(), 16);
+  mpz_set_str(ge, exp.ToHex().c_str(), 16);
+  mpz_set_str(gm, mod.ToHex().c_str(), 16);
+  for (auto _ : state) {
+    mpz_powm(out, gb, ge, gm);
+    benchmark::DoNotOptimize(out);
+  }
+  mpz_clears(gb, ge, gm, out, nullptr);
+}
+BENCHMARK(BM_ModExpGmp)->Arg(512)->Arg(1024)->Arg(2048);
+#endif
+
+// The Montgomery kernels alone, per limb count: the specialized sizes
+// (4..64) plus generic-loop sizes either side of them (5, 33, 96).
+// Operands are random residues of a random odd modulus of exactly
+// `limbs` limbs.
+MontgomeryContext MontBenchContext(int limbs, Rng& rng) {
+  BigInt mod = BigInt::Random(64 * limbs - 1, rng) +
+               (BigInt(1) << (64 * limbs - 1));
+  if (!mod.IsOdd()) mod = mod + BigInt(1);
+  return bench::ValueOrDie(MontgomeryContext::Create(mod));
+}
+
+void BM_MontMul(benchmark::State& state) {
+  Rng rng(static_cast<uint64_t>(state.range(0)));
+  const MontgomeryContext ctx =
+      MontBenchContext(static_cast<int>(state.range(0)), rng);
+  std::vector<uint64_t> a(ctx.limbs()), b(ctx.limbs());
+  ctx.ToMont(BigInt::RandomBelow(ctx.modulus(), rng), a.data());
+  ctx.ToMont(BigInt::RandomBelow(ctx.modulus(), rng), b.data());
+  for (auto _ : state) {
+    ctx.MontMul(a.data(), a.data(), b.data());
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MontMul)
+    ->Arg(4)->Arg(5)->Arg(6)->Arg(8)->Arg(12)->Arg(16)->Arg(24)->Arg(32)
+    ->Arg(33)->Arg(48)->Arg(64)->Arg(96);
+
+void BM_MontSqr(benchmark::State& state) {
+  Rng rng(static_cast<uint64_t>(state.range(0)));
+  const MontgomeryContext ctx =
+      MontBenchContext(static_cast<int>(state.range(0)), rng);
+  std::vector<uint64_t> a(ctx.limbs());
+  ctx.ToMont(BigInt::RandomBelow(ctx.modulus(), rng), a.data());
+  for (auto _ : state) {
+    ctx.MontSqr(a.data(), a.data());
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MontSqr)
+    ->Arg(4)->Arg(5)->Arg(6)->Arg(8)->Arg(12)->Arg(16)->Arg(24)->Arg(32)
+    ->Arg(33)->Arg(48)->Arg(64)->Arg(96);
 
 void BM_ModExpLadderNoMontgomery(benchmark::State& state) {
   // The pre-Montgomery path, forced via an even modulus of the same size.

@@ -189,6 +189,17 @@ bool BigInt::GetBit(int i) const {
   return (limbs_[limb] >> (i % 64)) & 1;
 }
 
+uint32_t BigInt::GetBits(int pos, int width) const {
+  const size_t limb = static_cast<size_t>(pos) / 64;
+  const int shift = pos % 64;
+  if (limb >= limbs_.size()) return 0;
+  uint64_t word = limbs_[limb] >> shift;
+  if (shift + width > 64 && limb + 1 < limbs_.size()) {
+    word |= limbs_[limb + 1] << (64 - shift);
+  }
+  return static_cast<uint32_t>(word & ((uint64_t{1} << width) - 1));
+}
+
 BigInt BigInt::Abs() const {
   BigInt out = *this;
   if (out.sign_ < 0) out.sign_ = 1;

@@ -52,6 +52,9 @@ class BigInt {
   int BitLength() const;
   /// Bit i (LSB = 0) of the magnitude.
   bool GetBit(int i) const;
+  /// Bits [pos, pos + width) of the magnitude as an integer whose LSB is
+  /// bit pos (bits past the top read as zero). 1 <= width <= 32.
+  uint32_t GetBits(int pos, int width) const;
 
   /// Sign: -1, 0, or +1.
   int sign() const { return sign_; }

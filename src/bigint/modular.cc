@@ -60,7 +60,8 @@ Result<BigInt> ModExp(const BigInt& base, const BigInt& exponent,
   // Odd moduli (every Paillier modulus) go through Montgomery
   // arithmetic; the multiply-and-divide ladder below remains for even
   // moduli and as the differential-testing reference.
-  if (m.IsOdd() && m.BitLength() >= 128) {
+  if (m.IsOdd() && m.BitLength() >= 128 &&
+      m.LimbCount() <= MontgomeryContext::kMaxLimbs) {
     PPGNN_ASSIGN_OR_RETURN(MontgomeryContext ctx, MontgomeryContext::Create(m));
     return ctx.ModExp(base, exponent);
   }
@@ -95,13 +96,12 @@ Result<BigInt> ModExp(const BigInt& base, const BigInt& exponent,
   return ctx.ModExp(base, exponent);
 }
 
-Result<BigInt> CrtCombine(const BigInt& r1, const BigInt& m1, const BigInt& r2,
-                          const BigInt& m2) {
+BigInt CrtCombine(const BigInt& r1, const BigInt& m1, const BigInt& r2,
+                  const BigInt& m2, const BigInt& m1_inv) {
   // x = r1 + m1 * ((r2 - r1) * m1^{-1} mod m2).
-  PPGNN_ASSIGN_OR_RETURN(BigInt m1_inv, ModInverse(m1, m2));
-  BigInt diff = (r2 - r1).Mod(m2);
-  BigInt h = ModMul(diff, m1_inv, m2);
-  return r1.Mod(m1) + m1 * h;
+  const BigInt r1_red = r1.Mod(m1);
+  const BigInt h = ModMul((r2 - r1_red).Mod(m2), m1_inv, m2);
+  return r1_red + m1 * h;
 }
 
 }  // namespace ppgnn

@@ -23,8 +23,9 @@ Result<BigInt> ModInverse(const BigInt& a, const BigInt& m);
 
 /// base^exponent mod m, with exponent >= 0 and m >= 1. Uses a 4-bit
 /// fixed-window ladder; cost is O(bits(exponent)) modular multiplications.
-/// Odd moduli >= 128 bits construct a throwaway MontgomeryContext per
-/// call — hot paths must use the prebuilt-context overload below.
+/// Odd moduli >= 128 bits (and at most MontgomeryContext::kMaxLimbs
+/// limbs) construct a throwaway MontgomeryContext per call — hot paths
+/// must use the prebuilt-context overload below.
 Result<BigInt> ModExp(const BigInt& base, const BigInt& exponent,
                       const BigInt& m);
 
@@ -37,10 +38,13 @@ Result<BigInt> ModExp(const BigInt& base, const BigInt& exponent,
 /// a*b mod m.
 BigInt ModMul(const BigInt& a, const BigInt& b, const BigInt& m);
 
-/// Chinese remainder theorem for two coprime moduli: the unique x in
-/// [0, m1*m2) with x ≡ r1 (mod m1) and x ≡ r2 (mod m2).
-Result<BigInt> CrtCombine(const BigInt& r1, const BigInt& m1, const BigInt& r2,
-                          const BigInt& m2);
+/// Chinese remainder theorem for two coprime moduli (Garner's form): the
+/// unique x in [0, m1*m2) with x ≡ r1 (mod m1) and x ≡ r2 (mod m2), given
+/// the precomputed constant m1_inv = m1^{-1} mod m2 (ModInverse(m1, m2);
+/// it depends only on the moduli, so callers derive it once per modulus
+/// pair rather than once per combination).
+BigInt CrtCombine(const BigInt& r1, const BigInt& m1, const BigInt& r2,
+                  const BigInt& m2, const BigInt& m1_inv);
 
 }  // namespace ppgnn
 

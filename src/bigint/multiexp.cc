@@ -12,20 +12,22 @@ Result<MultiExpEngine> MultiExpEngine::Create(const MontgomeryContext* ctx,
     return Status::InvalidArgument("MultiExpEngine over an empty base set");
   MultiExpEngine engine;
   engine.ctx_ = ctx;
-  engine.tables_.resize(bases.size());
+  engine.size_ = bases.size();
+  const size_t L = ctx->limbs();
+  const size_t per_base = kTableSize - 1;
+  engine.table_.resize(bases.size() * per_base * L);
   for (size_t i = 0; i < bases.size(); ++i) {
-    auto& table = engine.tables_[i];
-    table.resize(kTableSize);
-    table[1] = ctx->ToMont(bases[i].Mod(ctx->modulus()));
-    for (int c = 2; c < kTableSize; ++c) {
-      table[c] = ctx->MontMul(table[c - 1], table[1]);
+    uint64_t* row = engine.table_.data() + i * per_base * L;
+    ctx->ToMont(bases[i].Mod(ctx->modulus()), row);
+    for (size_t c = 1; c < per_base; ++c) {
+      ctx->MontMul(row + c * L, row + (c - 1) * L, row);
     }
   }
   return engine;
 }
 
 Result<BigInt> MultiExpEngine::Eval(const std::vector<BigInt>& exponents) const {
-  if (exponents.size() != tables_.size())
+  if (exponents.size() != size_)
     return Status::InvalidArgument("MultiExp exponent count != base count");
   int bits = 0;
   for (const BigInt& e : exponents) {
@@ -37,22 +39,23 @@ Result<BigInt> MultiExpEngine::Eval(const std::vector<BigInt>& exponents) const 
 
   // Straus: one shared square chain; each base folds its 4-bit window
   // digit into the accumulator from its precomputed table.
-  std::vector<uint64_t> acc = ctx_->One();
+  const size_t L = ctx_->limbs();
+  const size_t per_base = kTableSize - 1;
+  std::vector<uint64_t> acc(ctx_->one(), ctx_->one() + L);
   const int top_window = (bits - 1) / kWindow;
   for (int w = top_window; w >= 0; --w) {
     if (w != top_window) {
-      for (int s = 0; s < kWindow; ++s) acc = ctx_->MontMul(acc, acc);
+      for (int s = 0; s < kWindow; ++s) ctx_->MontSqr(acc.data(), acc.data());
     }
-    for (size_t i = 0; i < tables_.size(); ++i) {
-      const BigInt& e = exponents[i];
-      int chunk = 0;
-      for (int bit = kWindow - 1; bit >= 0; --bit) {
-        chunk = (chunk << 1) | (e.GetBit(w * kWindow + bit) ? 1 : 0);
+    for (size_t i = 0; i < size_; ++i) {
+      const uint32_t chunk = exponents[i].GetBits(w * kWindow, kWindow);
+      if (chunk != 0) {
+        ctx_->MontMul(acc.data(), acc.data(),
+                      table_.data() + (i * per_base + chunk - 1) * L);
       }
-      if (chunk != 0) acc = ctx_->MontMul(acc, tables_[i][chunk]);
     }
   }
-  return ctx_->FromMont(acc);
+  return ctx_->FromMont(acc.data());
 }
 
 Result<BigInt> MultiExp(const std::vector<BigInt>& bases,

@@ -46,7 +46,7 @@ class MultiExpEngine {
   Result<BigInt> Eval(const std::vector<BigInt>& exponents) const;
 
   /// Number of bases the engine was built over.
-  size_t size() const { return tables_.size(); }
+  size_t size() const { return size_; }
 
   const MontgomeryContext& context() const { return *ctx_; }
 
@@ -60,9 +60,10 @@ class MultiExpEngine {
   MultiExpEngine() = default;
 
   const MontgomeryContext* ctx_ = nullptr;
-  // tables_[i][c] = bases[i]^c in the Montgomery domain, c in [1, 15]
-  // (slot 0 is unused).
-  std::vector<std::vector<std::vector<uint64_t>>> tables_;
+  size_t size_ = 0;
+  // One flat array of Montgomery-domain limbs: bases[i]^c (c in [1, 15])
+  // starts at word (i * 15 + c - 1) * L for a modulus of L limbs.
+  std::vector<uint64_t> table_;
 };
 
 /// One-shot convenience wrapper: prod_i bases[i]^{exponents[i]} mod

@@ -7,12 +7,13 @@
 #include "bigint/prime.h"
 #include "common/failpoint.h"
 
-// ppgnn: secret(lambda, p, q, sk_, crt_p_pow, crt_q_pow, crt_p_engine, crt_q_engine)
+// ppgnn: secret(lambda, p, q, sk_, crt_split, p_pow, q_pow, garner, blinding)
 //
-// The crt_* members are precomputed from the secret factors (moduli
-// p^{s+1}/q^{s+1} and the fixed-base tables over them), so they carry the
-// same taint as p and q themselves: control flow branches on the `crt` /
-// `crt_engines` configuration booleans instead, never on these values.
+// crt_split (p^{s+1}), the Decryptor's p_pow/q_pow/garner and, for a key
+// holder, the blinding base's CRT state are derived from the secret
+// factors, so they carry the same taint as p and q themselves: control
+// flow branches on key presence and the configuration flags instead,
+// never on these values.
 
 namespace ppgnn {
 
@@ -157,99 +158,56 @@ Result<BigInt> OnePlusNToM(const BigInt& m, const BigInt& n, int s,
 
 }  // namespace
 
-Result<const Encryptor::LevelCache::Blinding*> Encryptor::EnsureBlinding(
-    int level) const {
+Result<const FixedBase*> Encryptor::EnsureBlinding(int level) const {
   const LevelCache& lc = Level(level);
   std::lock_guard<std::mutex> lock(level_mu_);
+  // ppgnn-lint: allow(secret-flow): tests whether the lookup already ran, not key bits
   if (lc.blinding != nullptr) return lc.blinding.get();
-  auto b = std::make_unique<LevelCache::Blinding>();
   // h_s = g^{N^s} mod N^{s+1} with g = 2: a unit modulo every odd
   // semiprime N, and deterministic — the base (hence every fixed-base
   // table derived from it) is a pure function of the public key.
-  const BigInt g(2);
-  if (lc.ctx != nullptr) {
-    PPGNN_ASSIGN_OR_RETURN(b->h, ModExp(g, lc.n_s, *lc.ctx));
-  } else {
-    PPGNN_ASSIGN_OR_RETURN(b->h, ModExp(g, lc.n_s, lc.modulus));
-  }
+  FixedBaseSpec spec;
+  spec.generator = BigInt(2);
+  spec.exponent = lc.n_s;
+  spec.modulus = lc.modulus;
   if (opts_.use_fixed_base && lc.ctx != nullptr) {
-    // Shared process-wide: every Encryptor over this key (and every
-    // request-scoped Encryptor the workload layer creates) reuses one
-    // table build. Null on registry failure -> generic ladder below.
-    b->engine = SharedFixedBaseEngine(b->h, lc.modulus, BlindingExponentBits(),
-                                      opts_.fixed_base_window);
+    spec.min_exponent_bits = BlindingExponentBits();
+    spec.window = opts_.fixed_base_window;
   }
   // ppgnn-lint: allow(secret-flow): branches on key presence (role), not bits
   if (sk_ != nullptr && opts_.use_crt) {
     // CRT split mirroring the decrypt side: blind mod p^{s+1} and
-    // q^{s+1} at half width, recombine. Exact, so bit-identical to the
-    // direct h^t mod N^{s+1}.
-    BigInt p_pow(1);
-    BigInt q_pow(1);
-    for (int i = 0; i <= level; ++i) {
-      p_pow = p_pow * sk_->p;
-      q_pow = q_pow * sk_->q;
-    }
-    Result<MontgomeryContext> p_ctx = MontgomeryContext::Create(p_pow);
-    Result<MontgomeryContext> q_ctx = MontgomeryContext::Create(q_pow);
-    if (p_ctx.ok() && q_ctx.ok()) {
-      b->crt_p_pow = std::move(p_pow);
-      b->crt_q_pow = std::move(q_pow);
-      b->crt_p_ctx =
-          std::make_unique<MontgomeryContext>(std::move(p_ctx).value());
-      b->crt_q_ctx =
-          std::make_unique<MontgomeryContext>(std::move(q_ctx).value());
-      b->crt = true;
-      if (opts_.use_fixed_base) {
-        b->crt_p_engine =
-            SharedFixedBaseEngine(b->h.Mod(b->crt_p_pow), b->crt_p_pow,
-                                  BlindingExponentBits(),
-                                  opts_.fixed_base_window);
-        b->crt_q_engine =
-            SharedFixedBaseEngine(b->h.Mod(b->crt_q_pow), b->crt_q_pow,
-                                  BlindingExponentBits(),
-                                  opts_.fixed_base_window);
-        b->crt_engines =
-            b->crt_p_engine != nullptr && b->crt_q_engine != nullptr;
-      }
-    }
+    // q^{s+1} at half width, recombine with the cached Garner constant.
+    // Exact, so bit-identical to the direct h^t mod N^{s+1}; and the
+    // full-width comb over N^{s+1} is never built for a key holder.
+    BigInt crt_split(1);
+    for (int i = 0; i <= level; ++i) crt_split = crt_split * sk_->p;
+    spec.split = std::move(crt_split);
   }
-  lc.blinding = std::move(b);
+  // Shared process-wide: every Encryptor over this key (and every
+  // request-scoped Encryptor the workload layer creates) reuses one
+  // derivation of h_s, one CRT split and one set of combs.
+  std::shared_ptr<const FixedBase> fixed = SharedFixedBase(spec);
+  if (fixed == nullptr)
+    return Status::CryptoError("no blinding base for this key");
+  lc.blinding = std::move(fixed);
   return lc.blinding.get();
 }
 
 Result<BigInt> Encryptor::MakeBlinding(int level, Rng& rng) const {
-  const LevelCache& lc = Level(level);
-  PPGNN_ASSIGN_OR_RETURN(const LevelCache::Blinding* b, EnsureBlinding(level));
+  PPGNN_ASSIGN_OR_RETURN(const FixedBase* fixed, EnsureBlinding(level));
   // One fixed-width draw regardless of path: the bit-identity guarantee
   // (naive == fixed-base == CRT on the same RNG stream) requires every
   // configuration to consume the same randomness AND compute the same
   // exact residue h_s^t.
   const BigInt t = BigInt::Random(BlindingExponentBits(), rng);
   op_count_.fetch_add(1, std::memory_order_relaxed);
-  if (b->crt) {
-    BigInt blind_p;
-    BigInt blind_q;
-    if (b->crt_engines) {
-      fixed_base_evals_.fetch_add(1, std::memory_order_relaxed);
-      PPGNN_ASSIGN_OR_RETURN(blind_p, b->crt_p_engine->Pow(t));
-      PPGNN_ASSIGN_OR_RETURN(blind_q, b->crt_q_engine->Pow(t));
-    } else {
-      generic_evals_.fetch_add(1, std::memory_order_relaxed);
-      PPGNN_ASSIGN_OR_RETURN(
-          blind_p, ModExp(b->h.Mod(b->crt_p_pow), t, *b->crt_p_ctx));
-      PPGNN_ASSIGN_OR_RETURN(
-          blind_q, ModExp(b->h.Mod(b->crt_q_pow), t, *b->crt_q_ctx));
-    }
-    return CrtCombine(blind_p, b->crt_p_pow, blind_q, b->crt_q_pow);
-  }
-  if (b->engine != nullptr) {
+  if (opts_.use_fixed_base && fixed->has_combs()) {
     fixed_base_evals_.fetch_add(1, std::memory_order_relaxed);
-    return b->engine->Pow(t);
+    return fixed->Pow(t);
   }
   generic_evals_.fetch_add(1, std::memory_order_relaxed);
-  if (lc.ctx != nullptr) return ModExp(b->h, t, *lc.ctx);
-  return ModExp(b->h, t, lc.modulus);
+  return fixed->PowLadder(t);
 }
 
 Status Encryptor::RefillBlindingPool(int level, size_t count, Rng& rng,
@@ -316,13 +274,9 @@ Encryptor::BlindingStats Encryptor::blinding_stats() const {
   {
     std::lock_guard<std::mutex> lock(level_mu_);
     for (const auto& lc : levels_) {
+      // ppgnn-lint: allow(secret-flow): skips levels never used to encrypt; reads no key bits
       if (lc == nullptr || lc->blinding == nullptr) continue;
-      const LevelCache::Blinding& b = *lc->blinding;
-      if (b.engine != nullptr) stats.table_bytes += b.engine->table_bytes();
-      if (b.crt_engines) {
-        stats.table_bytes += b.crt_p_engine->table_bytes();
-        stats.table_bytes += b.crt_q_engine->table_bytes();
-      }
+      if (opts_.use_fixed_base) stats.table_bytes += lc->blinding->table_bytes();
     }
   }
   return stats;
@@ -508,6 +462,7 @@ const Decryptor::LevelCache& Decryptor::Level(int s) const {
     cache->p_ctx = adopt(MontgomeryContext::Create(cache->p_pow));
     cache->q_ctx = adopt(MontgomeryContext::Create(cache->q_pow));
     cache->n_ctx = adopt(MontgomeryContext::Create(modulus));
+    cache->garner = ModInverse(cache->p_pow, cache->q_pow);
     cache->lambda_inv = ModInverse(sk_.lambda, n_s);
     slot = std::move(cache);
   }
@@ -534,7 +489,8 @@ Result<BigInt> Decryptor::PowLambda(const BigInt& c, int s) const {
   } else {
     PPGNN_ASSIGN_OR_RETURN(a_q, ModExp(c.Mod(lv.q_pow), sk_.lambda, lv.q_pow));
   }
-  return CrtCombine(a_p, lv.p_pow, a_q, lv.q_pow);
+  PPGNN_RETURN_IF_ERROR(lv.garner.status());
+  return CrtCombine(a_p, lv.p_pow, a_q, lv.q_pow, lv.garner.value());
 }
 
 namespace internal {

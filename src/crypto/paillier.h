@@ -37,9 +37,11 @@
 // machinery depends on that, and paillier_test enforces it.
 //
 // Exponentiation engine: an Encryptor (and Decryptor) owns one
-// MontgomeryContext per ciphertext level (and per CRT modulus), built
-// once and reused by every homomorphic operation, so no hot call ever
-// re-derives R^2 mod n. DotProduct evaluates the whole row as one
+// MontgomeryContext per ciphertext level (the Decryptor also one per CRT
+// modulus), built once and reused by every homomorphic operation, so no
+// hot call ever re-derives R^2 mod n. The blinding state — h_s, its
+// combs, and a key holder's CRT split — is per key, shared by every
+// Encryptor over it (bigint/fixedbase.h). DotProduct evaluates the whole row as one
 // simultaneous multi-exponentiation (bigint/multiexp.h); DotEngine
 // additionally shares the per-ciphertext window tables across the m rows
 // of an answer matrix. All of this is an evaluation-order change over
@@ -268,25 +270,13 @@ class Encryptor {
     BigInt modulus;  // N^{level+1}
     std::unique_ptr<MontgomeryContext> ctx;
 
-    /// Blinding-base machinery, built lazily on first use (evaluation-only
-    /// Encryptors — e.g. the LSP's selection path — never pay for it):
-    /// h = h_s, the shared fixed-base engine over it, and, for secret-key
-    /// holders, the CRT split. Immutable once built; guarded by level_mu_
-    /// during construction.
-    struct Blinding {
-      BigInt h;  // g^{N^s} mod N^{s+1}, g = 2
-      std::shared_ptr<const FixedBaseEngine> engine;  // null on naive config
-      // CRT split (crt == true only when all pieces exist).
-      bool crt = false;
-      bool crt_engines = false;  // fixed-base tables on both CRT halves
-      BigInt crt_p_pow;  // p^{level+1}
-      BigInt crt_q_pow;  // q^{level+1}
-      std::unique_ptr<MontgomeryContext> crt_p_ctx;
-      std::unique_ptr<MontgomeryContext> crt_q_ctx;
-      std::shared_ptr<const FixedBaseEngine> crt_p_engine;
-      std::shared_ptr<const FixedBaseEngine> crt_q_engine;
-    };
-    mutable std::unique_ptr<Blinding> blinding;
+    /// The blinding base h_s = g^{N^s} mod N^{s+1} (g = 2) with its
+    /// combs, and for secret-key holders the CRT split: per-key state
+    /// from the process-wide SharedFixedBase registry, so a new Encryptor
+    /// over a known key derives none of it. Looked up lazily on first use
+    /// (evaluation-only Encryptors — e.g. the LSP's selection path —
+    /// never touch it); set once under level_mu_.
+    mutable std::shared_ptr<const FixedBase> blinding;
   };
 
   /// Lazily builds (then reuses) the cache for `level`. Thread-safe;
@@ -294,9 +284,9 @@ class Encryptor {
   /// worker threads never contend on first touch.
   const LevelCache& Level(int level) const;
 
-  /// Lazily builds (then reuses) the blinding machinery for `level`.
+  /// Lazily looks up (then reuses) the blinding base for `level`.
   /// The returned pointer stays valid for the Encryptor's lifetime.
-  Result<const LevelCache::Blinding*> EnsureBlinding(int level) const;
+  Result<const FixedBase*> EnsureBlinding(int level) const;
 
   /// Bit width of the blinding exponent t.
   int BlindingExponentBits() const { return pk_.key_bits + 64; }
@@ -356,11 +346,12 @@ class Decryptor {
 
  private:
   /// Per-level decryption constants: p^{s+1}/q^{s+1} with their
-  /// Montgomery contexts (CRT path), the N^{s+1} context (direct path),
-  /// and lambda^{-1} mod N^s.
+  /// Montgomery contexts and the Garner constant (CRT path), the N^{s+1}
+  /// context (direct path), and lambda^{-1} mod N^s.
   struct LevelCache {
     BigInt p_pow;  // p^{s+1}
     BigInt q_pow;  // q^{s+1}
+    Result<BigInt> garner = Status::Internal("unset");  // p_pow^{-1} mod q_pow
     std::unique_ptr<MontgomeryContext> p_ctx;
     std::unique_ptr<MontgomeryContext> q_ctx;
     std::unique_ptr<MontgomeryContext> n_ctx;  // modulus N^{s+1}

@@ -73,7 +73,7 @@ Result<ServiceRequest> BuildServiceRequest(
   query.idempotency_key = wire.idempotency_key;
   std::optional<Encryptor> own_enc;
   const Encryptor& enc =
-      encryptor != nullptr ? *encryptor : own_enc.emplace(keys.pub);
+      encryptor != nullptr ? *encryptor : own_enc.emplace(keys);
   if (variant == Variant::kPpgnnOpt) {
     query.is_opt = true;
     PoiCodec codec(params.key_bits);

@@ -79,10 +79,23 @@ TEST(FixedBaseTest, PowDomainComposesWithContext) {
   auto engine = FixedBaseEngine::Create(base, mod, 128).value();
   BigInt e1 = BigInt::Random(100, rng);
   BigInt e2 = BigInt::Random(100, rng);
-  auto d1 = engine.PowDomain(e1).value();
-  auto d2 = engine.PowDomain(e2).value();
-  BigInt product = engine.context().FromMont(engine.context().MontMul(d1, d2));
+  const MontgomeryContext& ctx = engine.context();
+  std::vector<uint64_t> d1(ctx.limbs()), d2(ctx.limbs());
+  ASSERT_TRUE(engine.PowDomain(e1, d1.data()).ok());
+  ASSERT_TRUE(engine.PowDomain(e2, d2.data()).ok());
+  ctx.MontMul(d1.data(), d1.data(), d2.data());
+  BigInt product = ctx.FromMont(d1.data());
   EXPECT_EQ(product, ModExp(base, e1 + e2, mod).value());
+}
+
+// A registry spec for an explicit base: generator^1.
+FixedBaseSpec ExplicitBase(const BigInt& base, const BigInt& mod, int bits) {
+  FixedBaseSpec spec;
+  spec.generator = base;
+  spec.exponent = BigInt(1);
+  spec.modulus = mod;
+  spec.min_exponent_bits = bits;
+  return spec;
 }
 
 TEST(FixedBaseTest, SharedRegistryReusesEnginesAndWidens) {
@@ -90,21 +103,23 @@ TEST(FixedBaseTest, SharedRegistryReusesEnginesAndWidens) {
   BigInt mod = OddModulus(320, rng);
   BigInt base = BigInt::RandomBelow(mod, rng) + BigInt(2);
   const uint64_t created_before = FixedBaseEngine::created_count();
-  auto a = SharedFixedBaseEngine(base, mod, 256);
+  auto a = SharedFixedBase(ExplicitBase(base, mod, 256));
   ASSERT_NE(a, nullptr);
   // Same key shape: a cache hit, no new table build.
-  auto b = SharedFixedBaseEngine(base, mod, 200);
+  auto b = SharedFixedBase(ExplicitBase(base, mod, 200));
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(FixedBaseEngine::created_count(), created_before + 1);
   // Wider demand: rebuilt, and the old shared_ptr stays valid.
-  auto c = SharedFixedBaseEngine(base, mod, 512);
+  auto c = SharedFixedBase(ExplicitBase(base, mod, 512));
   ASSERT_NE(c, nullptr);
   EXPECT_NE(a.get(), c.get());
   EXPECT_GE(c->max_exponent_bits(), 512);
   BigInt e = BigInt::Random(200, rng);
   EXPECT_EQ(a->Pow(e).value(), c->Pow(e).value());
-  // Even modulus: no Montgomery context, callers keep their ladder path.
-  EXPECT_EQ(SharedFixedBaseEngine(base, BigInt(16), 64), nullptr);
+  EXPECT_EQ(c->Pow(e).value(), ModExp(base, e, mod).value());
+  // Even modulus: no Montgomery context, so no combs; callers keep their
+  // ladder path.
+  EXPECT_EQ(SharedFixedBase(ExplicitBase(base, BigInt(16), 64)), nullptr);
   FixedBaseRegistryStats stats = SharedFixedBaseRegistryStats();
   EXPECT_GE(stats.hits, 1u);
   EXPECT_GE(stats.misses, 2u);

@@ -129,7 +129,8 @@ TEST(ModMulTest, MatchesDirectComputation) {
 
 TEST(CrtTest, RecombinesResidues) {
   // x = 2 mod 3, x = 3 mod 5 -> x = 8 mod 15.
-  EXPECT_EQ(CrtCombine(BigInt(2), BigInt(3), BigInt(3), BigInt(5)).value(),
+  const BigInt garner = ModInverse(BigInt(3), BigInt(5)).value();
+  EXPECT_EQ(CrtCombine(BigInt(2), BigInt(3), BigInt(3), BigInt(5), garner),
             BigInt(8));
 }
 
@@ -137,16 +138,17 @@ TEST(CrtTest, RandomizedAgainstDefinition) {
   Rng rng(999);
   BigInt m1 = Dec("1000003");        // prime
   BigInt m2 = Dec("1000033");        // prime
+  const BigInt garner = ModInverse(m1, m2).value();
   for (int i = 0; i < 20; ++i) {
     BigInt x = BigInt::RandomBelow(m1 * m2, rng);
-    BigInt rebuilt =
-        CrtCombine(x.Mod(m1), m1, x.Mod(m2), m2).value();
+    BigInt rebuilt = CrtCombine(x.Mod(m1), m1, x.Mod(m2), m2, garner);
     EXPECT_EQ(rebuilt, x);
   }
 }
 
 TEST(CrtTest, FailsForNonCoprimeModuli) {
-  EXPECT_FALSE(CrtCombine(BigInt(1), BigInt(6), BigInt(2), BigInt(9)).ok());
+  // Non-coprime moduli have no Garner constant to combine with.
+  EXPECT_FALSE(ModInverse(BigInt(6), BigInt(9)).ok());
 }
 
 }  // namespace

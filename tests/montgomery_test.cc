@@ -22,6 +22,20 @@ BigInt LadderModExp(const BigInt& base, const BigInt& exponent,
   return acc;
 }
 
+// Domain conversions on caller-owned limbs.
+std::vector<uint64_t> ToMont(const MontgomeryContext& ctx, const BigInt& a) {
+  std::vector<uint64_t> out(ctx.limbs());
+  ctx.ToMont(a, out.data());
+  return out;
+}
+
+BigInt MulVia(const MontgomeryContext& ctx, const BigInt& a, const BigInt& b) {
+  std::vector<uint64_t> x = ToMont(ctx, a);
+  std::vector<uint64_t> y = ToMont(ctx, b);
+  ctx.MontMul(x.data(), x.data(), y.data());
+  return ctx.FromMont(x.data());
+}
+
 TEST(MontgomeryTest, CreateRejectsBadModuli) {
   EXPECT_FALSE(MontgomeryContext::Create(BigInt(0)).ok());
   EXPECT_FALSE(MontgomeryContext::Create(BigInt(1)).ok());
@@ -39,7 +53,7 @@ TEST(MontgomeryTest, RoundTripThroughDomain) {
     auto ctx = MontgomeryContext::Create(m).value();
     for (int i = 0; i < 10; ++i) {
       BigInt a = BigInt::RandomBelow(m, rng);
-      EXPECT_EQ(ctx.FromMont(ctx.ToMont(a)), a) << bits;
+      EXPECT_EQ(ctx.FromMont(ToMont(ctx, a).data()), a) << bits;
     }
   }
 }
@@ -54,7 +68,7 @@ TEST(MontgomeryTest, MontMulMatchesPlainModMul) {
     for (int i = 0; i < 15; ++i) {
       BigInt a = BigInt::RandomBelow(m, rng);
       BigInt b = BigInt::RandomBelow(m, rng);
-      BigInt got = ctx.FromMont(ctx.MontMul(ctx.ToMont(a), ctx.ToMont(b)));
+      BigInt got = MulVia(ctx, a, b);
       EXPECT_EQ(got, ModMul(a, b, m)) << bits << " iter " << i;
     }
   }
@@ -65,12 +79,10 @@ TEST(MontgomeryTest, EdgeOperands) {
   BigInt m = GeneratePrime(256, rng).value();
   auto ctx = MontgomeryContext::Create(m).value();
   BigInt zero(0), one(1), top = m - BigInt(1);
-  EXPECT_EQ(ctx.FromMont(ctx.MontMul(ctx.ToMont(zero), ctx.ToMont(top))),
-            BigInt(0));
-  EXPECT_EQ(ctx.FromMont(ctx.MontMul(ctx.ToMont(one), ctx.ToMont(top))), top);
+  EXPECT_EQ(MulVia(ctx, zero, top), BigInt(0));
+  EXPECT_EQ(MulVia(ctx, one, top), top);
   // (m-1)^2 mod m = 1.
-  EXPECT_EQ(ctx.FromMont(ctx.MontMul(ctx.ToMont(top), ctx.ToMont(top))),
-            BigInt(1));
+  EXPECT_EQ(MulVia(ctx, top, top), BigInt(1));
 }
 
 TEST(MontgomeryTest, ModExpMatchesLadderRandomized) {

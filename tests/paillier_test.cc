@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -443,6 +444,93 @@ TEST_F(PaillierTest, CrtEncryptorDecryptsAndPools) {
     }
   }
   EXPECT_EQ(enc.PooledBlindingCount(2), 0u);
+}
+
+// Blinding state is per key, not per Encryptor: h_s, the CRT split with
+// its contexts and Garner constant, and the combs are derived by the
+// first Encryptor over a key and found in the registry by every later
+// one.
+TEST(PaillierKeyStateTest, HundredEncryptorsDeriveKeyStateOnce) {
+  Rng rng(7101);
+  const KeyPair keys = GenerateKeyPair(kTestKeyBits, rng).value();
+  const Decryptor dec(keys.pub, keys.sec);
+  for (bool holder : {true, false}) {
+    const uint64_t built_before = FixedBase::created_count();
+    const FixedBaseRegistryStats before = SharedFixedBaseRegistryStats();
+    for (int i = 0; i < 100; ++i) {
+      std::unique_ptr<Encryptor> enc =
+          holder ? std::make_unique<Encryptor>(keys)
+                 : std::make_unique<Encryptor>(keys.pub);
+      const Ciphertext ct = enc->Encrypt(BigInt(i), rng, 1).value();
+      ASSERT_EQ(dec.Decrypt(ct).value(), BigInt(i));
+    }
+    const FixedBaseRegistryStats after = SharedFixedBaseRegistryStats();
+    EXPECT_EQ(FixedBase::created_count(), built_before + 1)
+        << (holder ? "key holder" : "public key");
+    EXPECT_EQ(after.misses, before.misses + 1);
+    EXPECT_EQ(after.hits, before.hits + 99);
+  }
+}
+
+// Concurrent first use of one key: eight threads (four sharing one
+// Encryptor, four with their own) race to the first Encrypt, and the
+// key's state is still built exactly once.
+TEST(PaillierKeyStateTest, ConcurrentFirstUseBuildsStateOnce) {
+  Rng key_rng(7102);
+  const KeyPair keys = GenerateKeyPair(kTestKeyBits, key_rng).value();
+  const Decryptor dec(keys.pub, keys.sec);
+  const Encryptor shared(keys);
+  const uint64_t built_before = FixedBase::created_count();
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::array<Result<Ciphertext>, kThreads> out{
+      Status::Internal("unset"), Status::Internal("unset"),
+      Status::Internal("unset"), Status::Internal("unset"),
+      Status::Internal("unset"), Status::Internal("unset"),
+      Status::Internal("unset"), Status::Internal("unset")};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(7200 + static_cast<uint64_t>(t));
+      std::unique_ptr<Encryptor> own;
+      if (t >= kThreads / 2) own = std::make_unique<Encryptor>(keys);
+      const Encryptor& enc = own != nullptr ? *own : shared;
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kThreads) {
+        std::this_thread::yield();
+      }
+      out[t] = enc.Encrypt(BigInt(1000 + t), rng, 1);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(FixedBase::created_count(), built_before + 1);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(out[t].ok()) << out[t].status();
+    EXPECT_EQ(dec.Decrypt(out[t].value()).value(), BigInt(1000 + t));
+  }
+}
+
+// A key holder blinds on the two half-width CRT combs only; the
+// full-width comb over N^{s+1} is built by the first public-key
+// Encryptor, not by the key holder.
+TEST(PaillierKeyStateTest, KeyHolderBuildsNoFullWidthComb) {
+  Rng rng(7103);
+  const KeyPair keys = GenerateKeyPair(kTestKeyBits, rng).value();
+  const FixedBaseRegistryStats start = SharedFixedBaseRegistryStats();
+  const Encryptor holder(keys);
+  ASSERT_TRUE(holder.Encrypt(BigInt(5), rng, 1).ok());
+  const FixedBaseRegistryStats after_holder = SharedFixedBaseRegistryStats();
+  EXPECT_EQ(after_holder.engines, start.engines + 2);
+  const size_t holder_bytes = after_holder.table_bytes - start.table_bytes;
+  EXPECT_EQ(holder_bytes, holder.blinding_stats().table_bytes);
+
+  const Encryptor pub(keys.pub);
+  ASSERT_TRUE(pub.Encrypt(BigInt(5), rng, 1).ok());
+  const FixedBaseRegistryStats after_pub = SharedFixedBaseRegistryStats();
+  EXPECT_EQ(after_pub.engines, after_holder.engines + 1);
+  // Same digit count at half the width, twice: the two CRT combs
+  // together weigh what the one full-width comb does.
+  EXPECT_EQ(after_pub.table_bytes - after_holder.table_bytes, holder_bytes);
 }
 
 TEST(PaillierSoakTest, ManyRandomRoundTrips) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/indicator.h"
+#include "core/wire.h"
+#include "service/workload.h"
 #include "spatial/dataset.h"
 
 namespace ppgnn {
@@ -382,6 +385,60 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{Variant::kPpgnnOpt, 5, AggregateKind::kSum},
         SweepCase{Variant::kNaive, 2, AggregateKind::kSum},
         SweepCase{Variant::kNaive, 5, AggregateKind::kMin}));
+
+// The coordinator holds the key pair and blinds on the CRT split
+// (Encryptor(keys)); a public-key Encryptor over the same key must give
+// the same bytes on the same RNG stream, or replayed and deduplicated
+// requests would diverge.
+TEST_F(ProtocolTest, KeyHolderRequestBytesMatchPublicKeyPath) {
+  const ProtocolParams params = SmallParams();
+  const auto group = Group(params.n, 41);
+  const Encryptor public_enc(keys_->pub);
+  const Encryptor holder_enc(*keys_);
+  for (Variant variant : {Variant::kPpgnn, Variant::kPpgnnOpt}) {
+    // BuildServiceRequest: its own Encryptor(keys) vs an explicit
+    // public-key Encryptor.
+    Rng holder_rng(77);
+    Rng public_rng(77);
+    auto holder = BuildServiceRequest(variant, params, group, *keys_,
+                                      holder_rng);
+    auto pub = BuildServiceRequest(variant, params, group, *keys_, public_rng,
+                                   {}, &public_enc);
+    ASSERT_TRUE(holder.ok()) << holder.status();
+    ASSERT_TRUE(pub.ok()) << pub.status();
+    EXPECT_EQ(holder->query, pub->query) << VariantToString(variant);
+    EXPECT_EQ(holder->uploads, pub->uploads) << VariantToString(variant);
+    EXPECT_EQ(holder_rng.NextUint64(), public_rng.NextUint64());
+
+    // RunQuery's indicator step (the calls it makes with its
+    // Encryptor(keys)), encoded as the query message it sends.
+    auto encode = [&](const Encryptor& enc, Rng& rng) {
+      const PartitionPlan plan =
+          SolvePartition(params.n, params.d, params.EffectiveDelta()).value();
+      QueryMessage query;
+      query.k = params.k;
+      query.theta0 = params.theta0;
+      query.aggregate = params.aggregate;
+      query.plan = plan;
+      query.pk = keys_->pub;
+      const uint64_t qi = plan.delta_prime / 2;
+      if (variant == Variant::kPpgnnOpt) {
+        query.is_opt = true;
+        query.opt_indicator =
+            EncryptOptIndicator(enc, qi, plan.delta_prime, 3, rng).value();
+      } else {
+        query.indicator =
+            EncryptIndicator(enc, qi, plan.delta_prime, rng).value();
+      }
+      return query.Encode().value();
+    };
+    Rng a(78);
+    Rng b(78);
+    EXPECT_EQ(encode(holder_enc, a), encode(public_enc, b))
+        << VariantToString(variant);
+    EXPECT_EQ(a.NextUint64(), b.NextUint64());
+  }
+}
 
 TEST_F(ProtocolTest, MaxAggregateEndToEnd) {
   ProtocolParams params = SmallParams();
