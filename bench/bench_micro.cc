@@ -461,18 +461,58 @@ void BM_RTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeBuild)->Arg(10000)->Arg(62556);
 
+// Args: group size n, AggregateKind (0 sum, 1 max, 2 min).
 void BM_MbmGnnQuery(benchmark::State& state) {
   static RTree tree = RTree::Build(GenerateSequoiaLike(kSequoiaSize, 7));
   MbmGnnSolver solver(&tree);
   Rng rng(8);
   const int n = static_cast<int>(state.range(0));
+  const auto kind = static_cast<AggregateKind>(state.range(1));
   std::vector<Point> group(n);
   for (Point& p : group) p = {rng.NextDouble(), rng.NextDouble()};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.Query(group, 8, AggregateKind::kSum));
+    benchmark::DoNotOptimize(solver.Query(group, 8, kind));
   }
+  state.SetLabel(AggregateKindToString(kind));
 }
-BENCHMARK(BM_MbmGnnQuery)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_MbmGnnQuery)
+    ->Args({1, 0})->Args({8, 0})->Args({32, 0})
+    ->Args({8, 1})->Args({32, 1})
+    ->Args({8, 2})->Args({32, 2});
+
+// One iteration runs the kGNN of every candidate query of one Table-3
+// query (n = 8, d = 25, delta = 100 -> delta' = 101, k = 8): each user's
+// location set is 25 uniform points, expanded by the partition plan as
+// the LSP expands it. Arg: AggregateKind (0 sum, 1 max, 2 min).
+void BM_MbmGnnCandidates(benchmark::State& state) {
+  static RTree tree = RTree::Build(GenerateSequoiaLike(kSequoiaSize, 7));
+  MbmGnnSolver solver(&tree);
+  const ProtocolParams params;
+  const auto kind = static_cast<AggregateKind>(state.range(0));
+  const PartitionPlan plan = bench::ValueOrDie(
+      SolvePartition(params.n, params.d, params.EffectiveDelta()));
+  Rng rng(12);
+  std::vector<LocationSet> sets(static_cast<size_t>(params.n));
+  for (LocationSet& set : sets) set = bench::RandomGroup(params.d, rng);
+  const std::vector<std::vector<Point>> candidates =
+      bench::ValueOrDie(GenerateCandidateQueries(plan, sets));
+  uint64_t visited = 0;
+  for (auto _ : state) {
+    for (const std::vector<Point>& candidate : candidates) {
+      benchmark::DoNotOptimize(solver.Query(candidate, params.k, kind));
+      visited += solver.last_nodes_visited();
+    }
+  }
+  const double runs =
+      static_cast<double>(state.iterations()) * static_cast<double>(candidates.size());
+  state.counters["per_candidate"] = benchmark::Counter(
+      runs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["nodes_visited"] = static_cast<double>(visited) / runs;
+  state.counters["delta_prime"] = static_cast<double>(candidates.size());
+  state.SetLabel(AggregateKindToString(kind));
+}
+BENCHMARK(BM_MbmGnnCandidates)->Arg(0)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SpmGnnQuery(benchmark::State& state) {
   static RTree tree = RTree::Build(GenerateSequoiaLike(kSequoiaSize, 7));

@@ -73,6 +73,23 @@ std::vector<Poi> GenerateUniform(size_t size, uint64_t seed) {
   return pois;
 }
 
+std::vector<Poi> GenerateGrid(size_t size, int cells, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> ids(size);
+  for (size_t i = 0; i < size; ++i) ids[i] = static_cast<uint32_t>(i);
+  rng.Shuffle(ids);
+  auto coord = [&] {
+    return static_cast<double>(rng.NextInRange(0, cells)) / cells;
+  };
+  std::vector<Poi> pois;
+  pois.reserve(size);
+  for (size_t i = 0; i < size; ++i) {
+    const double x = coord();
+    pois.push_back({ids[i], {x, coord()}});
+  }
+  return pois;
+}
+
 Result<std::vector<Poi>> LoadCsv(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) return Status::NotFound("cannot open " + path);

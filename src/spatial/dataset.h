@@ -32,6 +32,13 @@ std::vector<Poi> GenerateSequoiaLike(size_t size, uint64_t seed);
 /// Uniform POIs over the unit square (used by tests and ablations).
 std::vector<Poi> GenerateUniform(size_t size, uint64_t seed);
 
+/// POIs on the (cells + 1)^2 vertices of a lattice of step 1/cells over
+/// the unit square, drawn uniformly with replacement: many POIs share a
+/// location and many distances tie exactly. Ids are a random permutation
+/// of 0..size-1, so id order is unrelated to location. Used by the
+/// exact-tie tests.
+std::vector<Poi> GenerateGrid(size_t size, int cells, uint64_t seed);
+
 /// Loads a CSV of POIs ("x,y" or "id,x,y" per line; '#' comments allowed)
 /// and normalizes coordinates into the unit square.
 Result<std::vector<Poi>> LoadCsv(const std::string& path);

@@ -1,5 +1,6 @@
-// k-nearest-neighbor search over an R-tree (best-first traversal) plus a
-// brute-force reference implementation used for differential testing.
+// k-nearest-neighbor search over an R-tree (the best-first kGNN walk of
+// gnn.h over a one-point group) plus a brute-force reference
+// implementation used for differential testing.
 
 #ifndef PPGNN_SPATIAL_KNN_H_
 #define PPGNN_SPATIAL_KNN_H_
@@ -18,8 +19,8 @@ struct RankedPoi {
 };
 
 /// Returns the k POIs nearest to `query` in ascending distance order
-/// (fewer if the database is smaller). Ties are broken by POI id so
-/// results are deterministic.
+/// (fewer if the database is smaller). Ties are broken by POI id, so the
+/// answer is exactly the first k in (distance, id) order.
 std::vector<RankedPoi> KnnQuery(const RTree& tree, const Point& query, int k);
 
 /// O(D log D) reference used to validate KnnQuery.

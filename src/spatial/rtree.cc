@@ -27,6 +27,9 @@ RTree RTree::Build(std::vector<Poi> pois) {
   const size_t slice_size =
       slice_count == 0 ? count : (count + slice_count - 1) / slice_count;
 
+  // Leaves plus every upper level, each about 1/kFanout of the one below.
+  tree.nodes_.reserve(leaf_count + leaf_count / (kFanout - 1) + slice_count +
+                      8);
   std::vector<uint32_t> level;  // node ids of the current level
   for (size_t s = 0; s < count; s += slice_size) {
     size_t end = std::min(s + slice_size, count);
@@ -35,15 +38,12 @@ RTree RTree::Build(std::vector<Poi> pois) {
                 return tree.pois_[a].location.y < tree.pois_[b].location.y;
               });
     for (size_t i = s; i < end; i += kFanout) {
-      Node leaf;
-      leaf.is_leaf = true;
+      const uint32_t leaf = static_cast<uint32_t>(tree.nodes_.size());
+      tree.nodes_.emplace_back();
       size_t leaf_end = std::min(i + kFanout, end);
-      for (size_t j = i; j < leaf_end; ++j) {
-        leaf.entries.push_back(order[j]);
-        leaf.box.ExpandToInclude(tree.pois_[order[j]].location);
-      }
-      level.push_back(static_cast<uint32_t>(tree.nodes_.size()));
-      tree.nodes_.push_back(std::move(leaf));
+      for (size_t j = i; j < leaf_end; ++j) tree.AppendPoi(leaf, order[j]);
+      tree.RecomputeBox(leaf);
+      level.push_back(leaf);
     }
   }
   tree.height_ = 1;
@@ -68,15 +68,14 @@ RTree RTree::Build(std::vector<Poi> pois) {
                          tree.nodes_[b].box.Center().y;
                 });
       for (size_t i = s; i < end; i += kFanout) {
-        Node parent;
-        parent.is_leaf = false;
+        const uint32_t parent = static_cast<uint32_t>(tree.nodes_.size());
+        tree.nodes_.emplace_back().is_leaf = false;
         size_t parent_end = std::min(i + kFanout, end);
         for (size_t j = i; j < parent_end; ++j) {
-          parent.entries.push_back(level[j]);
-          parent.box = parent.box.Union(tree.nodes_[level[j]].box);
+          tree.AppendChild(parent, level[j]);
         }
-        next_level.push_back(static_cast<uint32_t>(tree.nodes_.size()));
-        tree.nodes_.push_back(std::move(parent));
+        tree.RecomputeBox(parent);
+        next_level.push_back(parent);
       }
     }
     level = std::move(next_level);
@@ -108,16 +107,53 @@ uint32_t RTree::AllocNode() {
   return static_cast<uint32_t>(nodes_.size() - 1);
 }
 
-Rect RTree::EntryBox(const Node& node, size_t i) const {
-  return node.is_leaf ? Rect::FromPoint(pois_[node.entries[i]].location)
-                      : nodes_[node.entries[i]].box;
+void RTree::AppendPoi(uint32_t node_id, uint32_t poi_index) {
+  Node& node = nodes_[node_id];
+  const Poi& poi = pois_[poi_index];
+  const uint32_t i = node.count++;
+  node.min_x[i] = poi.location.x;
+  node.min_y[i] = poi.location.y;
+  node.ref[i] = poi_index;
+  node.poi_id[i] = poi.id;
+}
+
+void RTree::AppendChild(uint32_t node_id, uint32_t child) {
+  Node& node = nodes_[node_id];
+  const Rect& box = nodes_[child].box;
+  const uint32_t i = node.count++;
+  node.min_x[i] = box.min_x;
+  node.min_y[i] = box.min_y;
+  node.max_x[i] = box.max_x;
+  node.max_y[i] = box.max_y;
+  node.ref[i] = child;
+}
+
+void RTree::RemoveEntry(uint32_t node_id, uint32_t ref) {
+  Node& node = nodes_[node_id];
+  uint32_t i = 0;
+  while (node.ref[i] != ref) ++i;
+  for (--node.count; i < node.count; ++i) {
+    node.min_x[i] = node.min_x[i + 1];
+    node.min_y[i] = node.min_y[i + 1];
+    node.max_x[i] = node.max_x[i + 1];
+    node.max_y[i] = node.max_y[i + 1];
+    node.ref[i] = node.ref[i + 1];
+    node.poi_id[i] = node.poi_id[i + 1];
+  }
 }
 
 void RTree::RecomputeBox(uint32_t node_id) {
   Node& node = nodes_[node_id];
   Rect box = Rect::Empty();
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    box = box.Union(EntryBox(node, i));
+  for (uint32_t i = 0; i < node.count; ++i) {
+    if (!node.is_leaf) {
+      const Rect& child = nodes_[node.ref[i]].box;
+      node.min_x[i] = child.min_x;
+      node.min_y[i] = child.min_y;
+      node.max_x[i] = child.max_x;
+      node.max_y[i] = child.max_y;
+    }
+    box = box.Union(node.EntryBox(i));
   }
   node.box = box;
 }
@@ -130,18 +166,18 @@ uint32_t RTree::ChooseLeaf(const Rect& box,
     const Node& node = nodes_[id];
     if (node.is_leaf) return id;
     // Least area enlargement; ties by smaller area.
-    uint32_t best_child = node.entries[0];
+    uint32_t best_child = node.ref[0];
     double best_enlargement = std::numeric_limits<double>::infinity();
     double best_area = std::numeric_limits<double>::infinity();
-    for (uint32_t child : node.entries) {
-      const Rect& child_box = nodes_[child].box;
+    for (uint32_t i = 0; i < node.count; ++i) {
+      const Rect child_box = node.EntryBox(i);
       double area = child_box.Area();
       double enlargement = child_box.Union(box).Area() - area;
       if (enlargement < best_enlargement ||
           (enlargement == best_enlargement && area < best_area)) {
         best_enlargement = enlargement;
         best_area = area;
-        best_child = child;
+        best_child = node.ref[i];
       }
     }
     id = best_child;
@@ -150,15 +186,15 @@ uint32_t RTree::ChooseLeaf(const Rect& box,
 
 uint32_t RTree::SplitNode(uint32_t node_id) {
   // Guttman's quadratic split.
-  const bool is_leaf = nodes_[node_id].is_leaf;
-  std::vector<uint32_t> entries = std::move(nodes_[node_id].entries);
+  // The groups below hold slot indices into `full`, the overfull node.
+  const Node full = nodes_[node_id];
+  const bool is_leaf = full.is_leaf;
+  std::vector<uint32_t> entries(full.count);
+  for (uint32_t i = 0; i < full.count; ++i) entries[i] = i;
   const uint32_t sibling = AllocNode();  // may invalidate Node references
   nodes_[sibling].is_leaf = is_leaf;
 
-  auto box_of = [&](uint32_t entry) {
-    return is_leaf ? Rect::FromPoint(pois_[entry].location)
-                   : nodes_[entry].box;
-  };
+  auto box_of = [&](uint32_t slot) { return full.EntryBox(slot); };
 
   // Seeds: the pair wasting the most area if grouped together.
   size_t seed_a = 0, seed_b = 1;
@@ -237,9 +273,15 @@ uint32_t RTree::SplitNode(uint32_t node_id) {
     }
   }
 
-  nodes_[node_id].entries = std::move(group_a);
-  nodes_[node_id].is_leaf = is_leaf;
-  nodes_[sibling].entries = std::move(group_b);
+  nodes_[node_id].count = 0;
+  for (uint32_t slot : group_a) {
+    is_leaf ? AppendPoi(node_id, full.ref[slot])
+            : AppendChild(node_id, full.ref[slot]);
+  }
+  for (uint32_t slot : group_b) {
+    is_leaf ? AppendPoi(sibling, full.ref[slot])
+            : AppendChild(sibling, full.ref[slot]);
+  }
   RecomputeBox(node_id);
   RecomputeBox(sibling);
   return sibling;
@@ -249,18 +291,19 @@ void RTree::AdjustTree(std::vector<uint32_t> path, uint32_t /*split_id*/) {
   for (size_t i = path.size(); i-- > 0;) {
     uint32_t id = path[i];
     RecomputeBox(id);
-    if (nodes_[id].entries.size() > kFanout) {
+    if (nodes_[id].count > kFanout) {
       uint32_t sibling = SplitNode(id);
       if (i == 0) {
         // Root split: grow a new root.
         uint32_t new_root = AllocNode();
         nodes_[new_root].is_leaf = false;
-        nodes_[new_root].entries = {id, sibling};
+        AppendChild(new_root, id);
+        AppendChild(new_root, sibling);
         RecomputeBox(new_root);
         root_ = new_root;
         ++height_;
       } else {
-        nodes_[path[i - 1]].entries.push_back(sibling);
+        AppendChild(path[i - 1], sibling);
       }
     }
   }
@@ -275,14 +318,14 @@ void RTree::Insert(const Poi& poi) {
   if (height_ == 0) {
     root_ = AllocNode();
     nodes_[root_].is_leaf = true;
-    nodes_[root_].entries.push_back(poi_index);
+    AppendPoi(root_, poi_index);
     RecomputeBox(root_);
     height_ = 1;
     return;
   }
   std::vector<uint32_t> path;
   uint32_t leaf = ChooseLeaf(Rect::FromPoint(poi.location), &path);
-  nodes_[leaf].entries.push_back(poi_index);
+  AppendPoi(leaf, poi_index);
   AdjustTree(std::move(path), 0);
 }
 
@@ -291,14 +334,14 @@ bool RTree::FindLeaf(uint32_t poi_index, uint32_t node_id,
   path->push_back(node_id);
   const Node& node = nodes_[node_id];
   if (node.is_leaf) {
-    for (uint32_t entry : node.entries) {
-      if (entry == poi_index) return true;
+    for (uint32_t i = 0; i < node.count; ++i) {
+      if (node.ref[i] == poi_index) return true;
     }
   } else {
     const Point& location = pois_[poi_index].location;
-    for (uint32_t child : node.entries) {
-      if (nodes_[child].box.Contains(location) &&
-          FindLeaf(poi_index, child, path)) {
+    for (uint32_t i = 0; i < node.count; ++i) {
+      if (node.EntryBox(i).Contains(location) &&
+          FindLeaf(poi_index, node.ref[i], path)) {
         return true;
       }
     }
@@ -315,11 +358,11 @@ void CollectSubtree(const std::vector<RTree::Node>& nodes, uint32_t node_id,
                     std::vector<uint32_t>* nodes_out) {
   nodes_out->push_back(node_id);
   const RTree::Node& node = nodes[node_id];
-  if (node.is_leaf) {
-    for (uint32_t entry : node.entries) pois_out->push_back(entry);
-  } else {
-    for (uint32_t child : node.entries) {
-      CollectSubtree(nodes, child, pois_out, nodes_out);
+  for (uint32_t i = 0; i < node.count; ++i) {
+    if (node.is_leaf) {
+      pois_out->push_back(node.ref[i]);
+    } else {
+      CollectSubtree(nodes, node.ref[i], pois_out, nodes_out);
     }
   }
 }
@@ -344,8 +387,7 @@ bool RTree::Delete(uint32_t poi_id) {
 
   // Remove the entry from its leaf.
   uint32_t leaf = path.back();
-  auto& entries = nodes_[leaf].entries;
-  entries.erase(std::find(entries.begin(), entries.end(), poi_index));
+  RemoveEntry(leaf, poi_index);
   live_[poi_index] = false;
   --live_count_;
 
@@ -354,12 +396,10 @@ bool RTree::Delete(uint32_t poi_id) {
   std::vector<uint32_t> orphans;
   for (size_t i = path.size(); i-- > 1;) {
     uint32_t id = path[i];
-    if (nodes_[id].entries.size() < static_cast<size_t>(kMinFill)) {
+    if (nodes_[id].count < static_cast<uint32_t>(kMinFill)) {
       std::vector<uint32_t> freed;
       CollectSubtree(nodes_, id, &orphans, &freed);
-      auto& parent_entries = nodes_[path[i - 1]].entries;
-      parent_entries.erase(
-          std::find(parent_entries.begin(), parent_entries.end(), id));
+      RemoveEntry(path[i - 1], id);
       for (uint32_t f : freed) free_nodes_.push_back(f);
     } else {
       RecomputeBox(id);
@@ -368,14 +408,14 @@ bool RTree::Delete(uint32_t poi_id) {
   RecomputeBox(root_);
 
   // Shrink the root while it is an internal node with a single child.
-  while (!nodes_[root_].is_leaf && nodes_[root_].entries.size() == 1) {
+  while (!nodes_[root_].is_leaf && nodes_[root_].count == 1) {
     uint32_t old_root = root_;
-    root_ = nodes_[root_].entries[0];
+    root_ = nodes_[root_].ref[0];
     free_nodes_.push_back(old_root);
     --height_;
   }
   // A now-empty root leaf means an empty tree.
-  if (nodes_[root_].is_leaf && nodes_[root_].entries.empty()) {
+  if (nodes_[root_].is_leaf && nodes_[root_].count == 0) {
     free_nodes_.push_back(root_);
     root_ = 0;
     height_ = 0;
@@ -386,7 +426,7 @@ bool RTree::Delete(uint32_t poi_id) {
     if (height_ == 0) {
       root_ = AllocNode();
       nodes_[root_].is_leaf = true;
-      nodes_[root_].entries.push_back(orphan);
+      AppendPoi(root_, orphan);
       RecomputeBox(root_);
       height_ = 1;
       continue;
@@ -394,7 +434,7 @@ bool RTree::Delete(uint32_t poi_id) {
     std::vector<uint32_t> insert_path;
     uint32_t target =
         ChooseLeaf(Rect::FromPoint(pois_[orphan].location), &insert_path);
-    nodes_[target].entries.push_back(orphan);
+    AppendPoi(target, orphan);
     AdjustTree(std::move(insert_path), 0);
   }
   return true;
@@ -410,13 +450,12 @@ std::vector<Poi> RTree::RangeQuery(const Rect& range) const {
     const Node& node = nodes_[stack.back()];
     stack.pop_back();
     if (!node.box.Intersects(range)) continue;
-    if (node.is_leaf) {
-      for (uint32_t idx : node.entries) {
-        if (range.Contains(pois_[idx].location)) out.push_back(pois_[idx]);
-      }
-    } else {
-      for (uint32_t child : node.entries) {
-        if (nodes_[child].box.Intersects(range)) stack.push_back(child);
+    for (uint32_t i = 0; i < node.count; ++i) {
+      if (node.is_leaf) {
+        const Point location{node.min_x[i], node.min_y[i]};
+        if (range.Contains(location)) out.push_back({node.poi_id[i], location});
+      } else if (node.EntryBox(i).Intersects(range)) {
+        stack.push_back(node.ref[i]);
       }
     }
   }
@@ -434,24 +473,28 @@ Status RTree::CheckInvariants() const {
     auto [id, level] = stack.back();
     stack.pop_back();
     const Node& node = nodes_[id];
-    if (node.entries.empty()) return Status::Internal("node with no entries");
-    if (node.entries.size() > kFanout)
-      return Status::Internal("node exceeds fanout");
+    if (node.count == 0) return Status::Internal("node with no entries");
+    if (node.count > kFanout) return Status::Internal("node exceeds fanout");
     if (node.is_leaf != (level == 1))
       return Status::Internal("leaf depth mismatch: tree not balanced");
     Rect computed = Rect::Empty();
-    if (node.is_leaf) {
-      for (uint32_t idx : node.entries) {
-        if (idx >= pois_.size()) return Status::Internal("POI index OOB");
-        ++seen[idx];
-        computed.ExpandToInclude(pois_[idx].location);
+    for (uint32_t i = 0; i < node.count; ++i) {
+      const uint32_t ref = node.ref[i];
+      Rect source;
+      if (node.is_leaf) {
+        if (ref >= pois_.size()) return Status::Internal("POI index OOB");
+        ++seen[ref];
+        source = Rect::FromPoint(pois_[ref].location);
+        if (node.poi_id[i] != pois_[ref].id)
+          return Status::Internal("leaf entry id differs from its POI");
+      } else {
+        if (ref >= nodes_.size()) return Status::Internal("child index OOB");
+        source = nodes_[ref].box;
+        stack.push_back({ref, level - 1});
       }
-    } else {
-      for (uint32_t child : node.entries) {
-        if (child >= nodes_.size()) return Status::Internal("child index OOB");
-        computed = computed.Union(nodes_[child].box);
-        stack.push_back({child, level - 1});
-      }
+      if (!(node.EntryBox(i) == source))
+        return Status::Internal("inline entry box differs from its source");
+      computed = computed.Union(source);
     }
     if (!(computed == node.box))
       return Status::Internal("node MBR is not tight");

@@ -8,6 +8,17 @@
 // databases as a PPGNN advantage: unlike APNN-style pre-computation,
 // nothing else needs recomputing when a POI appears or disappears.
 // Nodes are stored in a flat arena for locality; child links are indices.
+//
+// Node layout. Each node keeps its entries inline, as structure-of-arrays
+// of capacity kSlots = kFanout + 1 (the extra slot holds the overflow
+// entry between an insert and the split it triggers): one array per box
+// coordinate, one for the child or POI index, and for leaves one for the
+// POI id. A search reads a whole node's entries from contiguous arrays
+// without touching the POI arena or the child nodes. The arrays are
+// copies: a leaf entry copies its POI's location and id from pois(), an
+// internal entry copies its child's `box`. Every update refreshes them
+// (a node's RecomputeBox re-reads its children's boxes), and
+// CheckInvariants compares each copy with its source.
 
 #ifndef PPGNN_SPATIAL_RTREE_H_
 #define PPGNN_SPATIAL_RTREE_H_
@@ -25,12 +36,29 @@ class RTree {
  public:
   /// Maximum entries per node.
   static constexpr int kFanout = 16;
+  /// Entry slots per node: kFanout plus the overflow slot.
+  static constexpr int kSlots = kFanout + 1;
 
   struct Node {
     Rect box = Rect::Empty();
     bool is_leaf = true;
-    // Leaf: indices into pois(); internal: indices into nodes.
-    std::vector<uint32_t> entries;
+    uint32_t count = 0;  // entries in use: slots [0, count)
+    // Entry i's box. A leaf entry is its POI's location (min_x[i],
+    // min_y[i]); max_x/max_y are unused in leaves.
+    double min_x[kSlots] = {};
+    double min_y[kSlots] = {};
+    double max_x[kSlots] = {};
+    double max_y[kSlots] = {};
+    // Leaf: index into pois(); internal: index into nodes().
+    uint32_t ref[kSlots] = {};
+    // Leaf: the POI's id; unused in internal nodes.
+    uint32_t poi_id[kSlots] = {};
+
+    /// Entry i's box (a degenerate box for a leaf entry).
+    Rect EntryBox(uint32_t i) const {
+      return is_leaf ? Rect{min_x[i], min_y[i], min_x[i], min_y[i]}
+                     : Rect{min_x[i], min_y[i], max_x[i], max_y[i]};
+    }
   };
 
   /// Minimum entries per node after a split (Guttman's m).
@@ -65,18 +93,28 @@ class RTree {
   /// All POIs whose location falls inside `range` (inclusive bounds).
   std::vector<Poi> RangeQuery(const Rect& range) const;
 
-  /// Validates structural invariants (MBR containment, fanout bounds,
-  /// every live POI reachable exactly once, balance). Used by tests.
+  /// Validates structural invariants (tight MBRs, fanout bounds, every
+  /// live POI reachable exactly once, balance) and that every inline
+  /// entry copy equals its source: a leaf entry's coordinates and id equal
+  /// its POI's, an internal entry's box equals its child's box. Used by
+  /// tests.
   Status CheckInvariants() const;
 
  private:
   uint32_t AllocNode();
+  // Appends a leaf entry for POI index `poi_index`, or an internal entry
+  // for child node `child` (copying its current box).
+  void AppendPoi(uint32_t node_id, uint32_t poi_index);
+  void AppendChild(uint32_t node_id, uint32_t child);
+  // Removes the entry whose ref is `ref`, keeping the others in order.
+  void RemoveEntry(uint32_t node_id, uint32_t ref);
   // Returns the leaf best suited for `box` (least area enlargement).
   uint32_t ChooseLeaf(const Rect& box, std::vector<uint32_t>* path) const;
   // Splits `node` (overfull) into itself + a new node; returns the new id.
   uint32_t SplitNode(uint32_t node_id);
+  // Refreshes an internal node's entry boxes from its children, then sets
+  // the node's box to the union of its entries.
   void RecomputeBox(uint32_t node_id);
-  Rect EntryBox(const Node& node, size_t i) const;
   // Walks up `path` fixing boxes and propagating splits.
   void AdjustTree(std::vector<uint32_t> path, uint32_t split_id);
   // Finds the leaf containing POI index `poi_index`; fills `path`

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/random.h"
 #include "spatial/dataset.h"
 
@@ -12,6 +14,35 @@ std::vector<Point> RandomGroup(int n, Rng& rng) {
   std::vector<Point> out(n);
   for (Point& p : out) p = {rng.NextDouble(), rng.NextDouble()};
   return out;
+}
+
+// A group on the 1/16 lattice, so its distances to lattice POIs tie often.
+std::vector<Point> LatticeGroup(int n, Rng& rng) {
+  std::vector<Point> out(n);
+  for (Point& p : out) {
+    p = {static_cast<double>(rng.NextInRange(0, 16)) / 16,
+         static_cast<double>(rng.NextInRange(0, 16)) / 16};
+  }
+  return out;
+}
+
+// Empty when `got` is `want` entry by entry (same POI, bit-identical
+// cost); otherwise the first difference.
+std::string AnswerDiff(const std::vector<RankedPoi>& got,
+                       const std::vector<RankedPoi>& want) {
+  if (got.size() != want.size()) {
+    return "size " + std::to_string(got.size()) + " vs " +
+           std::to_string(want.size());
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].poi.id != want[i].poi.id || got[i].cost != want[i].cost ||
+        !(got[i].poi.location == want[i].poi.location)) {
+      return "rank " + std::to_string(i) + ": id " +
+             std::to_string(got[i].poi.id) + " vs " +
+             std::to_string(want[i].poi.id);
+    }
+  }
+  return "";
 }
 
 TEST(GnnTest, EmptyInputs) {
@@ -97,14 +128,11 @@ TEST_P(GnnDifferentialTest, MbmMatchesBruteForce) {
   Rng rng(88 + c.n * 10 + c.k);
   for (int trial = 0; trial < 10; ++trial) {
     auto queries = RandomGroup(c.n, rng);
-    auto fast = mbm.Query(queries, c.k, c.kind);
-    auto slow = brute.Query(queries, c.k, c.kind);
-    ASSERT_EQ(fast.size(), slow.size());
-    for (size_t i = 0; i < fast.size(); ++i) {
-      // Ties in aggregate cost may order differently; compare costs and
-      // verify the id sets match rank-by-rank within tolerance.
-      EXPECT_NEAR(fast[i].cost, slow[i].cost, 1e-12);
-    }
+    // Same POIs in the same (cost, id) order, with bit-identical costs.
+    EXPECT_EQ(AnswerDiff(mbm.Query(queries, c.k, c.kind),
+                         brute.Query(queries, c.k, c.kind)),
+              "")
+        << "trial " << trial;
   }
 }
 
@@ -146,13 +174,10 @@ TEST(GnnTest, SpmMatchesBruteForceAllAggregates) {
        {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
     for (int trial = 0; trial < 10; ++trial) {
       auto queries = RandomGroup(1 + trial % 8, rng);
-      auto fast = spm.Query(queries, 8, kind);
-      auto slow = brute.Query(queries, 8, kind);
-      ASSERT_EQ(fast.size(), slow.size()) << AggregateKindToString(kind);
-      for (size_t i = 0; i < fast.size(); ++i) {
-        EXPECT_NEAR(fast[i].cost, slow[i].cost, 1e-12)
-            << AggregateKindToString(kind) << " trial " << trial;
-      }
+      EXPECT_EQ(AnswerDiff(spm.Query(queries, 8, kind),
+                           brute.Query(queries, 8, kind)),
+                "")
+          << AggregateKindToString(kind) << " trial " << trial;
     }
   }
 }
@@ -164,12 +189,10 @@ TEST(GnnTest, SpmAndMbmAgree) {
   Rng rng(126);
   for (int trial = 0; trial < 15; ++trial) {
     auto queries = RandomGroup(4, rng);
-    auto a = spm.Query(queries, 10, AggregateKind::kSum);
-    auto b = mbm.Query(queries, 10, AggregateKind::kSum);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(a[i].cost, b[i].cost, 1e-12);
-    }
+    EXPECT_EQ(AnswerDiff(spm.Query(queries, 10, AggregateKind::kSum),
+                         mbm.Query(queries, 10, AggregateKind::kSum)),
+              "")
+        << "trial " << trial;
   }
 }
 
@@ -194,6 +217,63 @@ TEST(GnnTest, MbmPrunesBetterThanSpmForSpreadGroups) {
   mbm.Query(spread, 8, AggregateKind::kSum);
   spm.Query(spread, 8, AggregateKind::kSum);
   EXPECT_LE(mbm.last_nodes_visited(), spm.last_nodes_visited());
+}
+
+// Exact cost ties: 4,000 POIs on the 1/8 lattice (about 50 per vertex)
+// and groups on the 1/16 lattice. MBM and SPM must both return exactly
+// the first k POIs in (cost, id) order, as brute force does, for every
+// aggregate and a random k.
+TEST(GnnTieTest, MbmAndSpmMatchBruteForceUnderExactTies) {
+  const std::vector<Poi> pois = GenerateGrid(4000, 8, 31);
+  RTree tree = RTree::Build(pois);
+  MbmGnnSolver mbm(&tree);
+  SpmGnnSolver spm(&tree);
+  BruteForceGnnSolver brute(&pois);
+  Rng rng(32);
+  for (AggregateKind kind :
+       {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
+    int mbm_wrong = 0, spm_wrong = 0;
+    std::string first;
+    for (int trial = 0; trial < 300; ++trial) {
+      const auto group =
+          LatticeGroup(static_cast<int>(rng.NextInRange(1, 8)), rng);
+      const int k = static_cast<int>(rng.NextInRange(1, 40));
+      const auto want = brute.Query(group, k, kind);
+      const std::string mbm_diff = AnswerDiff(mbm.Query(group, k, kind), want);
+      const std::string spm_diff = AnswerDiff(spm.Query(group, k, kind), want);
+      mbm_wrong += mbm_diff.empty() ? 0 : 1;
+      spm_wrong += spm_diff.empty() ? 0 : 1;
+      if (first.empty() && !(mbm_diff + spm_diff).empty()) {
+        first = "trial " + std::to_string(trial) + " k " + std::to_string(k) +
+                ": MBM " + mbm_diff + "; SPM " + spm_diff;
+      }
+    }
+    EXPECT_EQ(mbm_wrong, 0) << AggregateKindToString(kind) << " " << first;
+    EXPECT_EQ(spm_wrong, 0) << AggregateKindToString(kind) << " " << first;
+  }
+}
+
+TEST(GnnTieTest, KBeyondDatabaseReturnsEveryPoiInOrder) {
+  const std::vector<Poi> pois = GenerateGrid(300, 4, 33);
+  RTree tree = RTree::Build(pois);
+  MbmGnnSolver mbm(&tree);
+  SpmGnnSolver spm(&tree);
+  BruteForceGnnSolver brute(&pois);
+  Rng rng(34);
+  for (AggregateKind kind :
+       {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      const auto group =
+          LatticeGroup(static_cast<int>(rng.NextInRange(1, 8)), rng);
+      const int k = static_cast<int>(rng.NextInRange(301, 400));
+      const auto want = brute.Query(group, k, kind);
+      ASSERT_EQ(want.size(), pois.size());
+      EXPECT_EQ(AnswerDiff(mbm.Query(group, k, kind), want), "")
+          << AggregateKindToString(kind) << " trial " << trial;
+      EXPECT_EQ(AnswerDiff(spm.Query(group, k, kind), want), "")
+          << AggregateKindToString(kind) << " trial " << trial;
+    }
+  }
 }
 
 TEST(GnnTest, SolverNames) {

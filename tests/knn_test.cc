@@ -69,6 +69,29 @@ TEST_P(KnnDifferentialTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Ks, KnnDifferentialTest,
                          ::testing::Values(1, 2, 8, 32, 100));
 
+// Exact distance ties: POIs on the 1/8 lattice, duplicates included, and
+// query points on the 1/16 lattice. The answer must be exactly the first
+// k in (distance, id) order, with bit-identical distances.
+TEST(KnnTest, MatchesBruteForceUnderExactTies) {
+  std::vector<Poi> pois = GenerateGrid(4000, 8, 35);
+  RTree tree = RTree::Build(pois);
+  Rng rng(36);
+  int wrong = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const Point q{static_cast<double>(rng.NextInRange(0, 16)) / 16,
+                  static_cast<double>(rng.NextInRange(0, 16)) / 16};
+    const int k = trial < 10 ? 4001 : static_cast<int>(rng.NextInRange(1, 40));
+    auto fast = KnnQuery(tree, q, k);
+    auto slow = KnnBruteForce(pois, q, k);
+    bool same = fast.size() == slow.size();
+    for (size_t i = 0; same && i < fast.size(); ++i) {
+      same = fast[i].poi.id == slow[i].poi.id && fast[i].cost == slow[i].cost;
+    }
+    wrong += same ? 0 : 1;
+  }
+  EXPECT_EQ(wrong, 0);
+}
+
 TEST(KnnTest, QueryOutsideDataSpace) {
   std::vector<Poi> pois = GenerateUniform(100, 7);
   RTree tree = RTree::Build(pois);

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/random.h"
 #include "spatial/dataset.h"
+#include "spatial/gnn.h"
 #include "spatial/knn.h"
 
 namespace ppgnn {
@@ -215,6 +217,74 @@ TEST(RTreeDynamicTest, MixedChurnKeepsKnnExact) {
       EXPECT_EQ(fast[i].poi.id, slow[i].poi.id) << round << " rank " << i;
     }
   }
+}
+
+// Random Insert/Delete interleavings that force splits (the tree grows
+// from empty to height >= 3) and condense-tree reinsertion (it is then
+// thinned until the root shrinks). After every batch, CheckInvariants
+// compares each inline entry copy with its source, and MBM must equal
+// brute force over the live POIs, ids and costs exactly. A third of the
+// POIs sit on the 1/8 lattice, so exact cost ties are exercised too.
+TEST(RTreeDynamicTest, InterleavedUpdatesKeepInlineEntriesExact) {
+  RTree tree = RTree::Build({});
+  Rng rng(20);
+  uint32_t next_id = 0;
+  auto random_poi = [&] {
+    Point p{rng.NextDouble(), rng.NextDouble()};
+    if (rng.NextBelow(3) == 0) {
+      p = {static_cast<double>(rng.NextInRange(0, 8)) / 8,
+           static_cast<double>(rng.NextInRange(0, 8)) / 8};
+    }
+    return Poi{next_id++, p};
+  };
+  auto delete_some = [&](size_t count) {
+    std::vector<Poi> live = tree.LivePois();
+    rng.Shuffle(live);
+    for (size_t i = 0; i < count && i < live.size(); ++i) {
+      ASSERT_TRUE(tree.Delete(live[i].id));
+    }
+  };
+  auto check = [&](const std::string& where) {
+    ASSERT_TRUE(tree.CheckInvariants().ok())
+        << where << ": " << tree.CheckInvariants();
+    const std::vector<Poi> live = tree.LivePois();
+    ASSERT_EQ(live.size(), tree.Size());
+    MbmGnnSolver mbm(&tree);
+    BruteForceGnnSolver brute(&live);
+    for (AggregateKind kind :
+         {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
+      std::vector<Point> group(static_cast<size_t>(rng.NextInRange(1, 6)));
+      for (Point& q : group) q = {rng.NextDouble(), rng.NextDouble()};
+      const int k = static_cast<int>(rng.NextInRange(1, 20));
+      const auto fast = mbm.Query(group, k, kind);
+      const auto slow = brute.Query(group, k, kind);
+      ASSERT_EQ(fast.size(), slow.size()) << where;
+      for (size_t i = 0; i < fast.size(); ++i) {
+        EXPECT_EQ(fast[i].poi.id, slow[i].poi.id) << where << " rank " << i;
+        EXPECT_EQ(fast[i].cost, slow[i].cost) << where << " rank " << i;
+      }
+    }
+  };
+
+  // Grow: 40 inserts and 13 deletes per batch.
+  int max_height = 0;
+  for (int batch = 0; batch < 30; ++batch) {
+    for (int i = 0; i < 40; ++i) tree.Insert(random_poi());
+    delete_some(13);
+    max_height = std::max(max_height, tree.Height());
+    check("grow " + std::to_string(batch));
+  }
+  EXPECT_GE(max_height, 3);
+
+  // Thin: 10 inserts and 40 deletes per batch, down to a few POIs.
+  bool shrank = false;
+  for (int batch = 0; tree.Size() > 30; ++batch) {
+    for (int i = 0; i < 10; ++i) tree.Insert(random_poi());
+    delete_some(40);
+    shrank = shrank || tree.Height() < max_height;
+    check("thin " + std::to_string(batch));
+  }
+  EXPECT_TRUE(shrank);
 }
 
 TEST(RTreeDynamicTest, DuplicateIdsDeleteOneAtATime) {

@@ -216,6 +216,36 @@ TEST_F(ShardTest, FourShardClusterReproducesSingleShardFrames) {
   }
 }
 
+// POIs on the 1/8 lattice: about 25 share each location, so every top-k
+// is decided by POI id among exact cost ties, and a location's duplicates
+// can straddle a shard boundary. Each shard must return its first k in
+// (cost, id) order, or the coordinator's (cost, id) merge differs from
+// the single node's answer.
+TEST_F(ShardTest, FourShardFramesMatchSingleNodeUnderExactTies) {
+  const std::vector<Poi> grid = GenerateGrid(2000, 8, 903);
+  LspDatabase db(grid);
+  LspService single(db, FrontConfig(/*sanitize=*/false));
+  ShardedLspService four(grid, ClusterConfig(4, /*sanitize=*/false));
+  ShardedLspService replicated(grid,
+                               ReplicatedConfig(4, 2, /*sanitize=*/false));
+  uint64_t seed = 120;
+  for (AggregateKind aggregate :
+       {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
+    for (int i = 0; i < 3; ++i) {
+      ServiceRequest request = MakeRequest(Variant::kPpgnn, aggregate, seed++,
+                                           /*sanitize=*/false);
+      std::vector<uint8_t> expected = single.Call(request);
+      ASSERT_FALSE(ResponseFrame::Decode(expected).value().is_error);
+      EXPECT_EQ(FrameOf(four, request), expected)
+          << "R=1 aggregate=" << AggregateKindToString(aggregate) << " " << i;
+      EXPECT_EQ(FrameOf(replicated, request), expected)
+          << "R=2 aggregate=" << AggregateKindToString(aggregate) << " " << i;
+    }
+  }
+  EXPECT_EQ(four.Stats().degraded_shards, 0u);
+  EXPECT_EQ(replicated.Stats().degraded_shards, 0u);
+}
+
 TEST_F(ShardTest, ClusterAnswerMatchesPlainSolverTopK) {
   std::vector<Point> real;
   ServiceRequest request = MakeRequest(Variant::kPpgnn, AggregateKind::kSum,
