@@ -6,9 +6,8 @@ namespace ppgnn {
 
 namespace {
 
-/// Same per-(shard, replica) seed perturbation ReplicaSet uses for its
-/// in-process links, reused here for chaos schedules and link jitter so
-/// TCP-mode runs replay with the same independence guarantees.
+/// Per-(shard, replica) seed perturbation for the chaos schedules, so
+/// proxied replicas fault independently but replayably.
 uint64_t PerturbSeed(uint64_t seed, int shard, int replica) {
   return seed + static_cast<uint64_t>(shard) +
          static_cast<uint64_t>(replica) * 1000003ULL;
@@ -86,7 +85,6 @@ LoopbackShardFleet::LinkFactory() const {
     TcpLinkConfig link = config_.link;
     link.host = "127.0.0.1";
     link.port = dial_port(shard, replica);
-    link.seed = PerturbSeed(link.seed, shard, replica);
     return std::make_unique<TcpLink>(std::move(link));
   };
 }

@@ -36,8 +36,7 @@ struct LoopbackFleetConfig {
   /// Per-replica shard service config (plaintext shard kGNN).
   ServiceConfig shard_service;
   TcpServerConfig server;
-  /// Base link config; host/port are filled per replica by LinkFactory,
-  /// and the seed is perturbed per (shard, replica).
+  /// Base link config; host/port are filled per replica by LinkFactory.
   TcpLinkConfig link;
   /// Which replicas sit behind a ChaosProxy; null = none.
   std::function<bool(int shard, int replica)> proxied;

@@ -1,15 +1,16 @@
-// ServiceLink: the seam between the resilience ladder and whatever
+// ServiceLink: the seam between a resilience ladder and whatever
 // actually answers a request.
 //
-// ResilientClient (and through it ReplicaSet / the shard coordinator)
-// only ever needs three things from its downstream: an asynchronous
-// Submit that promises exactly one callback per request, and two
-// bookkeeping hooks so client-side recovery activity lands in the same
-// stats snapshot as the server counters it caused. LspService satisfies
-// the interface in-process; TcpLink (src/net/transport) satisfies it
-// over a real socket. Everything above the seam — budgets, hedging,
-// failover, health, byte-identical answers — is transport-agnostic by
-// construction.
+// A ladder — ReplicaSet's for the cluster's shard legs, ResilientClient's
+// for an end user — only ever needs three things from its downstream:
+// an asynchronous Submit that promises exactly one callback per request,
+// and two bookkeeping hooks so client-side recovery activity lands in the
+// same stats snapshot as the server counters it caused. LspService
+// satisfies the interface in-process; TcpLink (src/net/transport)
+// satisfies it over a real socket. Everything above the seam — budgets,
+// hedging, failover, health, byte-identical answers — is
+// transport-agnostic by construction, and a ladder that submits and
+// waits on the callback needs no thread of its own per request.
 //
 // Contract for implementors:
 //   * Submit is non-blocking admission. Returns true if the request was

@@ -158,8 +158,9 @@ struct ServiceStats {
   uint64_t aimd_increases = 0;
   uint64_t aimd_decreases = 0;
   uint64_t cost_observations = 0;
-  /// Client-side resilience events, reported back by ResilientClient (or
-  /// anything else wrapping this service) via the Record* methods.
+  /// Client-side resilience events, reported back by ResilientClient or a
+  /// ReplicaSet leg (or anything else wrapping this service) via the
+  /// Record* methods.
   uint64_t retries = 0;
   uint64_t hedges = 0;
   /// Served queries whose request carried degraded (substituted) users.

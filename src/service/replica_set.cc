@@ -1,7 +1,10 @@
 #include "service/replica_set.h"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
+#include <iterator>
+#include <thread>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -13,28 +16,36 @@ double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
-/// Shared between Call() and its leg threads so a loser leg can outlive
-/// the call (parked as a straggler) without dangling references.
-struct LegSlot {
-  int replica = -1;
-  bool done = false;
-  ClientCallOutcome out;
-};
-
-struct CallState {
-  std::mutex mu;
-  std::condition_variable cv;
-  LegSlot primary;
-  LegSlot hedge;
-};
+std::chrono::steady_clock::duration FromSeconds(double s) {
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(s));
+}
 
 }  // namespace
+
+struct ReplicaSet::LegResult {
+  int replica = -1;
+  bool answered = false;
+  /// The failure may clear on a resend to the same replica.
+  bool transient = false;
+  std::vector<uint8_t> frame;  ///< the answer frame when answered
+  ErrorMessage error;          ///< set when !answered
+};
+
+struct ReplicaSet::InFlightCall {
+  std::mutex mu;
+  std::condition_variable cv;
+  // ppgnn: guarded_by(results, mu)
+  std::vector<LegResult> results;
+};
 
 ReplicaSet::ReplicaSet(int shard_index, std::vector<Poi> slice,
                        ReplicaSetConfig config)
     : shard_index_(shard_index),
       config_(std::move(config)),
-      counters_(static_cast<size_t>(std::max(config_.replicas, 1))) {
+      counters_(static_cast<size_t>(std::max(config_.replicas, 1))),
+      // ppgnn-lint: allow(guarded-by): constructor has exclusive access
+      rng_(config_.link_policy.seed + static_cast<uint64_t>(shard_index)) {
   const int replicas = std::max(config_.replicas, 1);
   health_ = std::make_unique<HealthMonitor>(replicas, config_.health);
   failpoints_.reserve(static_cast<size_t>(replicas));
@@ -44,11 +55,6 @@ ReplicaSet::ReplicaSet(int shard_index, std::vector<Poi> slice,
   for (int r = 0; r < replicas; ++r) {
     failpoints_.push_back("shard.replica." + std::to_string(shard_index_) +
                           "." + std::to_string(r));
-    RetryPolicy policy = config_.link_policy;
-    // Replica 0's stream matches the PR 7 single-link layout (seed + j);
-    // further replicas jump far enough that streams never collide.
-    policy.seed += static_cast<uint64_t>(shard_index_) +
-                   static_cast<uint64_t>(r) * 1000003ULL;
     if (config_.link_factory) {
       // Remote mode: the replica lives behind a caller-built link (a
       // TcpLink dialing its TcpShardServer). Down-edges from the link's
@@ -58,8 +64,7 @@ ReplicaSet::ReplicaSet(int shard_index, std::vector<Poi> slice,
       remote_links_.back()->SetConnectivityObserver([this, r](bool up) {
         if (!up) health_->ReportFailure(r);
       });
-      links_.push_back(
-          std::make_unique<ResilientClient>(*remote_links_.back(), policy));
+      links_.push_back(remote_links_.back().get());
       continue;
     }
     // Each replica owns a full copy of the slice: replicas share no
@@ -67,105 +72,131 @@ ReplicaSet::ReplicaSet(int shard_index, std::vector<Poi> slice,
     dbs_.push_back(std::make_unique<LspDatabase>(slice));
     services_.push_back(
         std::make_unique<LspService>(*dbs_.back(), config_.service));
-    links_.push_back(
-        std::make_unique<ResilientClient>(*services_.back(), policy));
+    links_.push_back(services_.back().get());
   }
 }
 
 ReplicaSet::~ReplicaSet() { Shutdown(); }
 
 void ReplicaSet::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(stragglers_mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
-  // Stopping the services first unblocks any straggler leg still waiting
-  // on a reply; only then is joining them bounded. Remote links are
-  // Close()d for the same reason — and because Close joins the link's
-  // worker threads, no connectivity observer can touch health_ after
-  // this point.
+  // Stopping a service drains its queue and joins its workers, so every
+  // leg callback it owes has run; Close() joins a remote link's workers
+  // for the same reason. After this no callback or connectivity observer
+  // can touch health_ or the counters. Both are idempotent.
   for (auto& service : services_) service->Shutdown();
   for (auto& link : remote_links_) link->Close();
-  std::vector<std::thread> stragglers;
-  {
-    std::lock_guard<std::mutex> lock(stragglers_mu_);
-    stragglers.swap(stragglers_);
-  }
-  for (std::thread& thread : stragglers) {
-    if (thread.joinable()) thread.join();
-  }
 }
 
-void ReplicaSet::ParkStraggler(std::thread thread) {
-  if (!thread.joinable()) return;
-  std::lock_guard<std::mutex> lock(stragglers_mu_);
-  if (shut_down_) {
-    // Shutdown already swept the list; the services are stopping, so the
-    // leg resolves promptly and an inline join stays bounded.
-    thread.join();
-    return;
-  }
-  stragglers_.push_back(std::move(thread));
+void ReplicaSet::SubmitLeg(const std::shared_ptr<InFlightCall>& call,
+                           int replica, ServiceRequest request) {
+  const Clock::time_point submitted = Clock::now();
+  // Submit may run the callback inline (a rejected leg), so no lock of
+  // ours is held here; a rejection still arrives as the callback's error
+  // frame, so the bool is redundant.
+  (void)links_[static_cast<size_t>(replica)]->Submit(
+      std::move(request),
+      [this, call, replica, submitted](std::vector<uint8_t> frame) {
+        LegResult result = FinishLeg(replica, submitted, std::move(frame));
+        {
+          std::lock_guard<std::mutex> lock(call->mu);
+          call->results.push_back(std::move(result));
+        }
+        call->cv.notify_all();
+      });
 }
 
-ClientCallOutcome ReplicaSet::CallLeg(int replica,
-                                      const ServiceRequest& request,
-                                      double remaining_seconds) {
-  const Clock::time_point leg_start = Clock::now();
-  ClientCallOutcome out;
-  // The per-replica failpoint models this one replica being dead or slow;
-  // an injected delay still falls through to the real call so slowness
-  // (not just death) flows into the health EWMA and hedging.
+ReplicaSet::LegResult ReplicaSet::FinishLeg(int replica,
+                                            Clock::time_point submitted,
+                                            std::vector<uint8_t> frame) {
+  LegResult result;
+  result.replica = replica;
+  // The per-replica failpoint models this one replica being dead or
+  // slow. A delay sleeps here, on the link's thread, so slowness flows
+  // into the health EWMA and the hedge without blocking the caller.
   const Status injected =
       FailpointCheck(failpoints_[static_cast<size_t>(replica)].c_str());
   if (!injected.ok()) {
-    out.error.code = WireErrorFromStatus(injected);
-    out.error.detail = injected.ToString();
+    result.error.code = WireErrorFromStatus(injected);
+    result.error.detail = injected.ToString();
   } else {
-    ServiceRequest leg = request;
-    leg.deadline_seconds = remaining_seconds;
-    out = links_[static_cast<size_t>(replica)]->Call(std::move(leg));
-  }
-  const double latency = Seconds(Clock::now() - leg_start);
-  if (out.answered) {
-    leg_latency_.Record(latency);
-    health_->ReportSuccess(replica, latency);
-  } else {
-    counters_[static_cast<size_t>(replica)].leg_failures.fetch_add(
-        1, std::memory_order_relaxed);
-    // kMalformed is a verdict on *our* query, identical on every
-    // replica — not a health signal.
-    if (out.error.code != WireError::kMalformed) {
-      health_->ReportFailure(replica);
+    Result<ResponseFrame> decoded = ResponseFrame::Decode(frame);
+    if (!decoded.ok()) {
+      // Transport garbage (e.g. an injected corrupt frame): unusable,
+      // but a resend can succeed.
+      result.error.code = WireError::kInternal;
+      result.error.detail = "replica set: reply corrupted";
+      result.transient = true;
+    } else if (decoded.value().is_error) {
+      result.error = std::move(decoded.value().error);
+    } else {
+      result.answered = true;
+      result.frame = std::move(frame);
     }
   }
-  return out;
+  const double latency = Seconds(Clock::now() - submitted);
+  if (result.answered) {
+    leg_latency_.Record(latency);
+    health_->ReportSuccess(replica, latency);
+    return result;
+  }
+  result.transient =
+      result.transient || ResilientClient::IsRetryable(result.error.code);
+  counters_[static_cast<size_t>(replica)].leg_failures.fetch_add(
+      1, std::memory_order_relaxed);
+  // kMalformed is a verdict on *our* query, identical on every replica —
+  // not a health signal.
+  if (result.error.code != WireError::kMalformed) {
+    health_->ReportFailure(replica);
+  }
+  return result;
 }
 
 double ReplicaSet::HedgeDelaySeconds() const {
-  if (config_.hedge_delay_seconds > 0) return config_.hedge_delay_seconds;
+  const RetryPolicy& policy = config_.link_policy;
+  if (policy.hedge_delay_seconds > 0) return policy.hedge_delay_seconds;
   if (leg_latency_.count() >= 8) {
-    return std::max(config_.min_hedge_delay_seconds,
+    return std::max(policy.min_hedge_delay_seconds,
                     leg_latency_.Quantile(0.99));
   }
-  return config_.fallback_hedge_delay_seconds;
+  return policy.fallback_hedge_delay_seconds;
+}
+
+double ReplicaSet::BackoffSeconds(int round, uint64_t retry_after_ms) {
+  const RetryPolicy& policy = config_.link_policy;
+  double base;
+  if (policy.honor_retry_after && retry_after_ms > 0) {
+    // The server knows its backlog better than our schedule does.
+    base = static_cast<double>(retry_after_ms) / 1000.0;
+  } else {
+    base = std::min(policy.initial_backoff_seconds *
+                        std::pow(policy.backoff_multiplier, round - 1),
+                    policy.max_backoff_seconds);
+  }
+  double jitter = 0.0;
+  if (policy.jitter_fraction > 0) {
+    std::lock_guard<std::mutex> lock(rng_mu_);
+    jitter = policy.jitter_fraction * (2.0 * rng_.NextDouble() - 1.0);
+  }
+  return std::max(base * (1.0 + jitter), 0.0);
 }
 
 ReplicaCallOutcome ReplicaSet::Call(const ServiceRequest& request,
                                     double budget_seconds) {
+  const RetryPolicy& policy = config_.link_policy;
   const Clock::time_point start = Clock::now();
-  const auto remaining = [&]() -> double {
-    return budget_seconds - Seconds(Clock::now() - start);
-  };
-  const auto out_of_budget = [&]() {
-    return budget_seconds > 0.0 && remaining() <= 0.0;
-  };
+  double budget = budget_seconds;
+  if (policy.total_budget_seconds > 0.0 &&
+      (budget <= 0.0 || policy.total_budget_seconds < budget)) {
+    budget = policy.total_budget_seconds;
+  }
+  const Clock::time_point deadline = budget > 0.0
+                                         ? start + FromSeconds(budget)
+                                         : Clock::time_point::max();
 
   std::vector<int> order = health_->PreferenceOrder();
   bool probe_carried = false;
   if (order.empty()) {
-    // Ladder tier 4: the whole set looks down. If any replica's
+    // Ladder tier 5: the whole set looks down. If any replica's
     // half-open gate admits, the real query doubles as the probe — the
     // fastest path from "down" back to "serving".
     for (int r = 0; r < replicas(); ++r) {
@@ -184,139 +215,136 @@ ReplicaCallOutcome ReplicaSet::Call(const ServiceRequest& request,
   outcome.error.detail = "replica set: no routable replica";
   if (order.empty()) return outcome;
 
-  size_t next = 0;
-  const int primary = order[next++];
-  auto state = std::make_shared<CallState>();
-  state->primary.replica = primary;
-  const double primary_budget =
-      budget_seconds > 0.0 ? std::max(remaining(), 0.001) : 0.0;
-  std::thread primary_thread(
-      [this, state, request, primary, primary_budget]() {
-        ClientCallOutcome out = CallLeg(primary, request, primary_budget);
-        {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->primary.out = std::move(out);
-          state->primary.done = true;
-        }
-        state->cv.notify_all();
-      });
-  outcome.legs++;
+  auto call = std::make_shared<InFlightCall>();
+  const int primary = order.front();
+  const int max_legs_per_replica = std::max(policy.max_attempts, 1);
+  std::vector<int> legs_to(static_cast<size_t>(replicas()), 0);
+  // A replica already tried is resent to only if its last failure was
+  // transient.
+  std::vector<bool> transient(static_cast<size_t>(replicas()), false);
+  bool primary_failed = false;
+  bool terminal = false;
+  uint64_t retry_after_ms = 0;
 
+  const auto launch = [&](int replica, bool hedge) {
+    ServiceLink& link = *links_[static_cast<size_t>(replica)];
+    if (legs_to[static_cast<size_t>(replica)]++ > 0) link.RecordClientRetry();
+    if (hedge) {
+      hedges_launched_.fetch_add(1, std::memory_order_relaxed);
+      link.RecordClientHedge();
+    }
+    ServiceRequest leg = request;
+    if (deadline != Clock::time_point::max()) {
+      leg.deadline_seconds = std::max(Seconds(deadline - Clock::now()), 0.001);
+    }
+    SubmitLeg(call, replica, std::move(leg));
+    outcome.legs++;
+  };
+  const auto budget_exhausted = [&]() {
+    outcome.error = ErrorMessage{};
+    outcome.error.code = WireError::kDeadlineExceeded;
+    outcome.error.detail = "replica set: budget exhausted";
+    return outcome;
+  };
+
+  size_t next = 0;  // next replica of `order` this round
+  int round = 1;
+  launch(order[next++], /*hedge=*/false);
   // Hedge: when the primary is silent past the p99-derived delay, race
   // one identical leg against the next-preferred replica. A probe-
   // carried call never hedges — half-open admits exactly one leg.
-  bool hedged = false;
-  if (config_.hedge && !probe_carried && next < order.size()) {
-    double delay = HedgeDelaySeconds();
-    if (budget_seconds > 0.0) delay = std::min(delay, std::max(remaining(), 0.0));
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait_for(lock, std::chrono::duration<double>(delay),
-                       [&] { return state->primary.done; });
-    hedged = !state->primary.done;
-  }
-  std::thread hedge_thread;
-  int hedge_replica = -1;
-  if (hedged) {
-    hedge_replica = order[next++];
-    state->hedge.replica = hedge_replica;
-    hedges_launched_.fetch_add(1, std::memory_order_relaxed);
-    const double hedge_budget =
-        budget_seconds > 0.0 ? std::max(remaining(), 0.001) : 0.0;
-    hedge_thread = std::thread(
-        [this, state, request, hedge_replica, hedge_budget]() {
-          ClientCallOutcome out = CallLeg(hedge_replica, request, hedge_budget);
-          {
-            std::lock_guard<std::mutex> lock(state->mu);
-            state->hedge.out = std::move(out);
-            state->hedge.done = true;
-          }
-          state->cv.notify_all();
-        });
-    outcome.legs++;
-  }
-
-  // First decisive answer wins; identical slices + a deterministic wire
-  // make the winning frame byte-identical no matter which leg it is.
-  int winner = -1;
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] {
-      if (state->primary.done && state->primary.out.answered) return true;
-      if (hedged && state->hedge.done && state->hedge.out.answered)
-        return true;
-      return state->primary.done && (!hedged || state->hedge.done);
-    });
-    if (state->primary.done && state->primary.out.answered) {
-      winner = primary;
-      outcome.frame = state->primary.out.frame;
-    } else if (hedged && state->hedge.done && state->hedge.out.answered) {
-      winner = hedge_replica;
-      outcome.frame = state->hedge.out.frame;
-      if (state->primary.done) {
-        // The primary had already failed: the hedge acted as failover.
-        outcome.failed_over = true;
+  Clock::time_point hedge_at =
+      policy.hedge && !probe_carried && next < order.size()
+          ? Clock::now() + FromSeconds(HedgeDelaySeconds())
+          : Clock::time_point::max();
+  size_t consumed = 0;
+  std::vector<LegResult> fresh;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(call->mu);
+      const auto ready = [&] { return call->results.size() > consumed; };
+      const Clock::time_point wake = std::min(hedge_at, deadline);
+      if (wake == Clock::time_point::max()) {
+        call->cv.wait(lock, ready);
       } else {
-        outcome.hedge_won = true;
+        (void)call->cv.wait_until(lock, wake, ready);
       }
-    } else {
-      outcome.error = state->primary.out.error;
-      if (hedged && state->hedge.out.error.code != WireError::kMalformed &&
-          state->primary.out.error.code == WireError::kMalformed) {
-        outcome.error = state->hedge.out.error;
+      fresh.assign(std::make_move_iterator(call->results.begin() +
+                                           static_cast<ptrdiff_t>(consumed)),
+                   std::make_move_iterator(call->results.end()));
+      consumed = call->results.size();
+    }
+    // First decisive answer wins; identical slices + a deterministic wire
+    // make the winning frame byte-identical no matter which leg it is.
+    // Until the primary fails, the only other leg in flight is the hedge.
+    for (LegResult& result : fresh) {
+      if (result.answered) {
+        outcome.answered = true;
+        outcome.served_by = result.replica;
+        outcome.frame = std::move(result.frame);
+        outcome.hedge_won = result.replica != primary && !primary_failed;
+        outcome.failed_over = result.replica != primary && primary_failed;
+        LegCounters& c = counters_[static_cast<size_t>(result.replica)];
+        c.served.fetch_add(1, std::memory_order_relaxed);
+        if (outcome.failed_over)
+          c.failed_over.fetch_add(1, std::memory_order_relaxed);
+        if (outcome.hedge_won)
+          c.hedge_won.fetch_add(1, std::memory_order_relaxed);
+        return outcome;
+      }
+      primary_failed = primary_failed || result.replica == primary;
+      transient[static_cast<size_t>(result.replica)] = result.transient;
+      // Terminal verdicts are identical on every replica: resending a
+      // malformed query only repeats the rejection.
+      terminal = terminal || result.error.code == WireError::kMalformed;
+      if (result.error.code == WireError::kOverloaded &&
+          result.error.retry_after_ms > 0) {
+        retry_after_ms = result.error.retry_after_ms;
+      }
+      outcome.error = std::move(result.error);
+    }
+    const Clock::time_point now = Clock::now();
+    if (outcome.legs > static_cast<int>(consumed)) {
+      // Legs still in flight: abandon them at the end of the budget
+      // (their late callbacks only touch `call`), else hedge when due.
+      if (now >= deadline) return budget_exhausted();
+      if (now >= hedge_at) {
+        hedge_at = Clock::time_point::max();
+        launch(order[next++], /*hedge=*/true);
+      }
+      continue;
+    }
+    // Every leg so far failed.
+    hedge_at = Clock::time_point::max();
+    if (terminal) return outcome;
+    if (now >= deadline) return budget_exhausted();
+    if (next < order.size()) {
+      // Ladder tier 3: fail over to the next preferred replica.
+      launch(order[next++], /*hedge=*/false);
+      continue;
+    }
+    // Ladder tier 4: another round over the replicas still routable,
+    // after a backoff that must end inside the budget.
+    std::vector<int> again;
+    for (int r : health_->PreferenceOrder()) {
+      const size_t i = static_cast<size_t>(r);
+      if (legs_to[i] < max_legs_per_replica &&
+          (legs_to[i] == 0 || transient[i])) {
+        again.push_back(r);
       }
     }
-  }
-  if (winner == primary && primary_thread.joinable()) primary_thread.join();
-  if (winner >= 0) {
-    if (winner == primary) {
-      ParkStraggler(std::move(hedge_thread));
-    } else {
-      if (hedge_thread.joinable()) hedge_thread.join();
-      ParkStraggler(std::move(primary_thread));
+    if (again.empty()) return outcome;
+    const double backoff = BackoffSeconds(round++, retry_after_ms);
+    retry_after_ms = 0;
+    if (deadline != Clock::time_point::max() &&
+        Clock::now() + FromSeconds(backoff) >= deadline) {
+      return budget_exhausted();
     }
-    outcome.answered = true;
-    outcome.served_by = winner;
-    LegCounters& c = counters_[static_cast<size_t>(winner)];
-    c.served.fetch_add(1, std::memory_order_relaxed);
-    if (outcome.failed_over)
-      c.failed_over.fetch_add(1, std::memory_order_relaxed);
-    if (outcome.hedge_won) c.hedge_won.fetch_add(1, std::memory_order_relaxed);
-    return outcome;
+    if (backoff > 0) std::this_thread::sleep_for(FromSeconds(backoff));
+    order = std::move(again);
+    next = 0;
+    launch(order[next++], /*hedge=*/false);
   }
-  // Both first-wave legs are done and unanswered.
-  if (primary_thread.joinable()) primary_thread.join();
-  if (hedge_thread.joinable()) hedge_thread.join();
-
-  // Terminal verdicts are identical on every replica: failing over a
-  // malformed query only repeats the rejection.
-  if (outcome.error.code == WireError::kMalformed) return outcome;
-
-  // Ladder tier 3: sequential failover across the remaining routable
-  // replicas while the budget lasts.
-  for (; next < order.size(); ++next) {
-    if (out_of_budget()) {
-      outcome.error.code = WireError::kDeadlineExceeded;
-      outcome.error.detail = "replica set: budget exhausted during failover";
-      break;
-    }
-    const int r = order[next];
-    ClientCallOutcome out =
-        CallLeg(r, request, budget_seconds > 0.0 ? remaining() : 0.0);
-    outcome.legs++;
-    if (out.answered) {
-      outcome.answered = true;
-      outcome.served_by = r;
-      outcome.failed_over = true;
-      outcome.frame = std::move(out.frame);
-      LegCounters& c = counters_[static_cast<size_t>(r)];
-      c.served.fetch_add(1, std::memory_order_relaxed);
-      c.failed_over.fetch_add(1, std::memory_order_relaxed);
-      return outcome;
-    }
-    outcome.error = out.error;
-    if (outcome.error.code == WireError::kMalformed) break;
-  }
-  return outcome;
 }
 
 void ReplicaSet::ProbeOnce() {

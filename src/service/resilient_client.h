@@ -1,8 +1,11 @@
-// ResilientClient: the coordinator-side survival kit for a flaky LSP.
+// ResilientClient: the end-user client's survival kit for a flaky LSP.
 //
 // LspService gave the server structured errors, deadlines, and admission
-// control; this is the client that can actually live with them. One
-// Call() owns a total deadline budget and, inside it:
+// control; this is the client that can actually live with them. It sits
+// in front of one service (a single node or a cluster's front-end); the
+// cluster's own shard legs never go through it — ReplicaSet runs their
+// one ladder, reading the same RetryPolicy. One Call() owns a total
+// deadline budget and, inside it:
 //
 //   * Retries: transient failures (kOverloaded, kDeadlineExceeded, and
 //     transport garbage — a reply that fails frame decode) are retried
@@ -48,6 +51,10 @@
 
 namespace ppgnn {
 
+/// Read by ResilientClient, and by ReplicaSet as a cluster's
+/// `link_policy` (there max_attempts bounds the legs to one replica per
+/// call, and the hedge races a second replica). The breaker and
+/// tag_idempotency fields are read only by ResilientClient.
 struct RetryPolicy {
   /// Attempts per Call(), counting the first (>= 1). Hedges do not count.
   int max_attempts = 4;

@@ -78,8 +78,6 @@ ShardedLspService::ShardedLspService(std::vector<Poi> pois,
     set_config.service = config_.shard;
     set_config.link_policy = config_.link_policy;
     set_config.health = config_.health;
-    set_config.hedge = config_.hedge;
-    set_config.hedge_delay_seconds = config_.hedge_delay_seconds;
     set_config.link_factory = config_.link_factory;
     set_config.probe_timeout_seconds = config_.probe_timeout_seconds;
     sets_.push_back(std::make_unique<ReplicaSet>(

@@ -17,9 +17,9 @@
 //     since every POI they hold is then strictly worse than the cap);
 //   * scatters per-shard ShardQueryMessages, each through its replica
 //     set's resilience ladder: health-ordered replica preference,
-//     budget-bounded failover, p99-derived cross-replica hedging, and
-//     a half-open probe when the whole set looks down — all carrying
-//     the request's remaining deadline and a per-shard-derived
+//     p99-derived cross-replica hedging, failover, budget-bounded retry
+//     rounds, and a half-open probe when the whole set looks down — all
+//     carrying the request's remaining deadline and a per-shard-derived
 //     idempotency key in the wire-v2 trailer;
 //   * gathers the per-shard top-k lists and merges them per candidate by
 //     (cost, poi id) — the same total order the single-node MBM solver
@@ -74,17 +74,20 @@ struct ShardClusterConfig {
   /// Per-replica service config (plaintext kGNN only — keep workers
   /// modest).
   ServiceConfig shard;
-  /// Retry/hedge/budget policy for each coordinator -> replica link. The
-  /// seed is perturbed per (shard, replica) so link jitter streams are
-  /// independent.
-  RetryPolicy link_policy;
+  /// The policy of every replica set's ladder (ReplicaSetConfig): the
+  /// cross-replica hedge (on by default; needs replicas >= 2) and its
+  /// delay (0 = derive from the observed leg p99), max_attempts as legs
+  /// per replica per call, and the budget and backoff between retry
+  /// rounds. The seed is perturbed per shard. The breaker and
+  /// tag_idempotency fields are read only by ResilientClient.
+  RetryPolicy link_policy = [] {
+    RetryPolicy policy;
+    policy.hedge = true;
+    return policy;
+  }();
   /// Replica health state machine (thresholds, cooldown, probe cadence,
   /// injectable clock).
   HealthConfig health;
-  /// Cross-replica hedging inside each set (needs replicas >= 2).
-  bool hedge = true;
-  /// Fixed cross-replica hedge delay; 0 = derive from observed leg p99.
-  double hedge_delay_seconds = 0.0;
   /// Run the background prober thread (health.probe_interval_seconds
   /// cadence). Off by default so deterministic tests drive probes
   /// manually; the CLI and benches turn it on.
@@ -145,12 +148,9 @@ class ShardedLspService {
   ReplicaSet& replica_set(int shard) {
     return *sets_[static_cast<size_t>(shard)];
   }
-  /// Replica 0 of the shard — the PR 7 single-replica accessors.
+  /// Replica 0 of the shard: the single-replica accessor.
   LspService& shard_service(int shard) {
     return sets_[static_cast<size_t>(shard)]->replica_service(0);
-  }
-  const ResilientClient& link(int shard) const {
-    return sets_[static_cast<size_t>(shard)]->link(0);
   }
 
  private:

@@ -818,7 +818,7 @@ TEST_F(ChaosTest, ReplicatedKillStormServesExactAnswersWithZeroDegraded) {
   config.shard.workers = 2;
   config.link_policy.max_attempts = 2;
   config.link_policy.total_budget_seconds = 0.5;
-  config.hedge_delay_seconds = 0.01;
+  config.link_policy.hedge_delay_seconds = 0.01;
   ShardedLspService cluster(GenerateSequoiaLike(3000, 777), config);
 
   const uint64_t seed = ChaosSeed();

@@ -13,7 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <fstream>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -25,6 +29,16 @@
 
 namespace ppgnn {
 namespace {
+
+/// The `Threads:` line of /proc/self/status: live threads in this process.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
 
 class ShardTest : public ::testing::Test {
  protected:
@@ -354,7 +368,7 @@ TEST_F(ShardTest, HedgeWinKeepsFramesByteIdentical) {
   std::vector<uint8_t> expected = FrameOf(healthy, request);
 
   ShardClusterConfig config = ReplicatedConfig(2, 2, /*sanitize=*/false);
-  config.hedge_delay_seconds = 0.005;
+  config.link_policy.hedge_delay_seconds = 0.005;
   ShardedLspService cluster(*pois_, config);
   ASSERT_TRUE(FailpointSetFromSpec("shard.replica.0.0=delay:200").ok());
   ASSERT_TRUE(FailpointSetFromSpec("shard.replica.1.0=delay:200").ok());
@@ -472,6 +486,90 @@ TEST_F(ShardTest, ProbeRecoversAKilledReplica) {
   std::vector<uint8_t> second = FrameOf(cluster, request);
   EXPECT_EQ(second, first);  // recovery changes no bits either
   EXPECT_GE(set.Stats().replicas[0].served, served_before + 1);
+}
+
+// Every leg is one Submit with one completion callback: a hedge whose
+// primary loses the race leaves no thread behind. Each primary replica
+// holds its replies back for 500 ms, so every call is won by the 1 ms
+// hedge while its primary leg is still pending.
+TEST_F(ShardTest, HedgedCallsStartNoThreads) {
+  ShardClusterConfig config = ReplicatedConfig(2, 2, /*sanitize=*/false);
+  config.link_policy.hedge_delay_seconds = 0.001;
+  ShardedLspService cluster(*pois_, config);
+  ASSERT_TRUE(FailpointSetFromSpec("shard.replica.0.0=delay:500").ok());
+  ASSERT_TRUE(FailpointSetFromSpec("shard.replica.1.0=delay:500").ok());
+
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  for (uint64_t seed = 130; seed < 138; ++seed) {
+    ServiceRequest request = MakeRequest(Variant::kPpgnn, AggregateKind::kSum,
+                                         seed, /*sanitize=*/false);
+    ResponseFrame decoded =
+        ResponseFrame::Decode(FrameOf(cluster, request)).value();
+    EXPECT_FALSE(decoded.is_error) << decoded.error.detail;
+  }
+  // A thread joined just before the read may still be leaving the
+  // kernel's count; give that a few milliseconds, far less than the
+  // 500 ms a pending primary leg takes.
+  int after = ProcessThreads();
+  for (int i = 0; i < 20 && after != before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = ProcessThreads();
+  }
+  EXPECT_EQ(after, before);
+  EXPECT_GE(cluster.Stats().replica_hedge_wins, 1u);
+
+  // Pending primaries skip their delay from here, so the drain is short.
+  FailpointClearAll();
+  cluster.Shutdown();
+}
+
+// One ladder for every transient leg failure, R = 1 included: with its
+// only replica failed, the set resends to it after a backoff
+// (max_attempts = 2), so the merge stays exact. kMalformed is a verdict
+// on the query and is never resent.
+TEST_F(ShardTest, OneLadderRetriesTransientLegFailuresWithOneReplica) {
+  ServiceRequest request = MakeRequest(Variant::kPpgnn, AggregateKind::kSum,
+                                       140, /*sanitize=*/false);
+  ShardedLspService healthy(*pois_, ClusterConfig(2, /*sanitize=*/false));
+  const std::vector<uint8_t> expected = FrameOf(healthy, request);
+  ASSERT_EQ(healthy.shard_service(0).Stats().accepted, 1u);  // shard 0 routed
+
+  {
+    // (a) An overloaded leg.
+    ShardedLspService cluster(*pois_, ClusterConfig(2, /*sanitize=*/false));
+    ASSERT_TRUE(
+        FailpointSetFromSpec("shard.replica.0.0=error:overloaded,times=1")
+            .ok());
+    EXPECT_EQ(FrameOf(cluster, request), expected);
+    const ServiceStats stats = cluster.Stats();
+    EXPECT_EQ(stats.degraded_shards, 0u);
+    EXPECT_GE(stats.exact_despite_failures, 1u);
+    EXPECT_EQ(FailpointHits("shard.replica.0.0"), 2u);
+    FailpointClearAll();
+  }
+  {
+    // (b) An undecodable leg reply.
+    ShardedLspService cluster(*pois_, ClusterConfig(2, /*sanitize=*/false));
+    ASSERT_TRUE(FailpointSetFromSpec("service.reply=corrupt,times=1").ok());
+    EXPECT_EQ(FrameOf(cluster, request), expected);
+    EXPECT_EQ(FailpointFires("service.reply"), 1u);
+    EXPECT_EQ(cluster.Stats().degraded_shards, 0u);
+    FailpointClearAll();
+  }
+  {
+    // (c) A malformed leg: exactly one leg, then the degraded merge.
+    ShardedLspService cluster(*pois_, ClusterConfig(2, /*sanitize=*/false));
+    ASSERT_TRUE(
+        FailpointSetFromSpec("shard.replica.0.0=error:malformed,times=1")
+            .ok());
+    ResponseFrame decoded =
+        ResponseFrame::Decode(FrameOf(cluster, request)).value();
+    EXPECT_FALSE(decoded.is_error) << decoded.error.detail;
+    EXPECT_EQ(FailpointHits("shard.replica.0.0"), 1u);
+    EXPECT_EQ(cluster.shard_service(0).Stats().accepted, 1u);
+    EXPECT_GE(cluster.Stats().degraded_shards, 1u);
+  }
 }
 
 TEST_F(ShardTest, ParentIdempotencyKeyCoalescesShardLegs) {
